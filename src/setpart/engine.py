@@ -12,10 +12,12 @@ relative from R_i, which lets the grid invariants of
 :mod:`setpart.encoding` replace the full subset axis over those elements
 and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
 
-Dense mode materializes the product (packed transform convolution under
-a cell budget, pruned sparse folding above it); polyspace mode extracts
-the target coefficient from point evaluations without materializing
-anything of product size.
+Dense mode either transforms every packed factor once, multiplies the
+transforms pointwise and reads only the target coefficients off the
+result (under a cell budget), or folds the sparse factors with pruning
+above it; polyspace mode extracts the target coefficients from point
+evaluations of the factors without materializing anything of product
+size.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .polyring import (
     EvaluationOracle,
     ExactPolynomial,
     extract_coefficients_polyspace,
-    multiply_packed_dense,
+    multiply_packed_dense,  # noqa: F401  (bench/tracer.py wraps this binding)
+    pack_terms,
+    product_coefficients,
 )
 
 __all__ = [
@@ -499,15 +503,12 @@ def _solve_encoded(
     if space == "polyspace":
         oracles = []
         for terms in term_maps:
-            packed: dict[int, int] = {}
-            for exps, coeff in terms.items():
-                key = radix.pack(exps)
-                packed[key] = packed.get(key, 0) + coeff
+            indices, coeffs = pack_terms(terms, radix)
             oracles.append(
                 EvaluationOracle(
-                    degree_bound=max(packed),
-                    mass=sum(packed.values()),
-                    packed_terms=tuple(sorted(packed.items())),
+                    degree_bound=int(indices.max()),
+                    mass=sum(coeffs.tolist()),
+                    packed_terms=tuple(sorted(zip(indices.tolist(), coeffs.tolist()))),
                 )
             )
         coeffs = extract_coefficients_polyspace(
@@ -517,12 +518,11 @@ def _solve_encoded(
         return _interpret(inst.objective, readouts, stats_for("polyspace"))
 
     if domain <= budget_cells:
-        acc = ExactPolynomial(variables, dict(term_maps[0]))
-        for terms in term_maps[1:]:
-            acc = multiply_packed_dense(
-                acc, ExactPolynomial(variables, dict(terms)), radix
-            )
-        readouts = [(w, acc.coefficient(t)) for w, t in zip(probes, full_targets)]
+        coeffs = product_coefficients(
+            [pack_terms(terms, radix) for terms in term_maps],
+            [radix.pack(t) for t in full_targets],
+        )
+        readouts = list(zip(probes, coeffs))
         return _interpret(inst.objective, readouts, stats_for("packed-dense"))
 
     limits = target + (weight_cap,) if cost_axis else target

@@ -1,22 +1,30 @@
 """Exact multivariate polynomials over the integers.
 
-Three multiplication strategies coexist:
+Two multiplication strategies coexist:
 
 - sparse schoolbook (``multiply``) for polynomials with few terms,
-- packed dense transforms (``multiply_packed_dense``): exponent tuples are
-  packed into a mixed-radix index and the 1-D sequences convolved exactly
-  with number-theoretic transforms under several primes plus CRT,
-- evaluation sweeps (``extract_coefficient_polyspace``): a single target
-  coefficient of a long product is recovered from point evaluations over
-  a power-of-two root of unity, never materializing the product.
+- packed transforms: exponent tuples are packed into a mixed-radix index
+  (``pack_terms``) and the product is formed at the power-of-two roots of
+  unity modulo several primes, then read back exactly through CRT.  Every
+  transform of one (size, prime) pair runs on one cached plan: its
+  primitive root, its table of root powers and its bit-reversal.
+
+  - ``product_coefficients`` transforms each factor once and multiplies
+    pointwise; it reads either every coefficient through one inverse
+    transform (``multiply_packed_dense``, ``convolve_exact``) or only the
+    requested ones straight from the transform (the engine's dense mode);
+  - ``extract_coefficients_polyspace`` builds the same pointwise values
+    from evaluation oracles, block by block, never expanding a factor
+    (Lokshtanov-Nederlof, "Saving space by algebraization", STOC 2010).
 
 All arithmetic is exact; floats never appear.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,12 +41,26 @@ __all__ = [
     "extract_coefficients_polyspace",
     "multiply",
     "multiply_packed_dense",
+    "pack_terms",
+    "product_coefficients",
 ]
 
 DENSE_BUDGET_CELLS = 1 << 26
 
 _SMALL_PRIME_LIMIT = 1 << 31  # products of two residues stay under 2^62
 _WIDE_PRIME_LIMIT = 1 << 62
+
+# Root-power gathers and target readouts run this many points at a time,
+# so their temporaries stay O(block) whatever the transform size.
+_BLOCK = 1 << 14
+# Entries kept by each plan cache (plans, bit-reversals, prime lists); a
+# plan holds O(size) words, so the caches are bounded rather than growing
+# with the number of distinct sizes.
+_PLAN_CACHE_SIZE = 8
+
+# A packed factor: distinct packed indices (int64) and their nonnegative
+# coefficients (uint64, or object when some coefficient needs more bits).
+PackedFactor = tuple[np.ndarray, np.ndarray]
 
 
 class RadixOverflowError(ValueError):
@@ -110,6 +132,30 @@ def multiply(p: ExactPolynomial, q: ExactPolynomial) -> ExactPolynomial:
     return ExactPolynomial(p.variables, out)
 
 
+def _coefficient_array(values: Sequence[int]) -> np.ndarray:
+    """Nonnegative integers on uint64 lanes when they fit, else exact objects."""
+    try:
+        return np.fromiter(values, dtype=np.uint64, count=len(values))
+    except OverflowError:
+        arr = np.array(values, dtype=object)
+        if (arr < 0).any():
+            raise ValueError("coefficients must be nonnegative") from None
+        return arr
+
+
+def pack_terms(
+    terms: Mapping[tuple[int, ...], int], radix: RadixVector
+) -> PackedFactor:
+    """Packed indices and coefficients of a term map, as numpy arrays.
+
+    Every exponent must lie inside its radix, so packing is injective and
+    the indices come out distinct.
+    """
+    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), len(radix.radices))
+    indices = exps @ np.array(radix.strides, dtype=np.int64)
+    return indices, _coefficient_array(list(terms.values()))
+
+
 def multiply_packed_dense(
     p: ExactPolynomial, q: ExactPolynomial, radix: RadixVector
 ) -> ExactPolynomial:
@@ -131,16 +177,8 @@ def multiply_packed_dense(
             )
     if not p.terms or not q.terms:
         return ExactPolynomial.zero(p.variables)
-    pa = {radix.pack(es): c for es, c in p.terms.items()}
-    qa = {radix.pack(es): c for es, c in q.terms.items()}
-    va = [0] * (max(pa) + 1)
-    for i, c in pa.items():
-        va[i] = c
-    vb = [0] * (max(qa) + 1)
-    for i, c in qa.items():
-        vb[i] = c
-    conv = convolve_exact(va, vb)
-    out = {radix.unpack(i): c for i, c in enumerate(conv) if c}
+    coeffs = product_coefficients([pack_terms(p.terms, radix), pack_terms(q.terms, radix)])
+    out = {radix.unpack(i): c for i, c in enumerate(coeffs) if c}
     return ExactPolynomial(p.variables, out)
 
 
@@ -195,7 +233,8 @@ def _primitive_root(p: int) -> int:
     raise RuntimeError(f"no primitive root modulo {p}")
 
 
-def _ntt_primes(length: int, needed_product: int) -> list[int]:
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _ntt_primes(length: int, needed_product: int) -> tuple[int, ...]:
     """Primes p = c*length + 1 whose product exceeds the coefficient bound.
 
     Small primes (below 2^31) are preferred so transforms run on 64-bit
@@ -213,61 +252,138 @@ def _ntt_primes(length: int, needed_product: int) -> list[int]:
                 product *= cand
             c -= 1
         if product > needed_product:
-            return primes
+            return tuple(primes)
     raise TransformUnavailableError(
         f"no transform-friendly primes below 2^62 cover a bound of {needed_product}"
     )
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _bit_reversal(n: int) -> np.ndarray:
     """Permutation sending index i to its bit-reversed image, length n = 2^k."""
     perm = np.zeros(1, dtype=np.int64)
     while len(perm) < n:
         perm = np.concatenate([2 * perm, 2 * perm + 1])
+    perm.flags.writeable = False
     return perm
 
 
-def _ntt(values: np.ndarray, prime: int, root: int, inverse: bool = False) -> np.ndarray:
-    """Iterative radix-2 transform modulo ``prime``.
+def _geometric(step: int, length: int, prime: int) -> np.ndarray:
+    """[1, step, step^2, ...] of the given length, reduced modulo prime.
 
-    ``root`` must generate the multiplicative group.  uint64 arrays stay
-    on fast numpy lanes when the prime is below 2^31; object arrays carry
-    exact Python integers otherwise.
+    Doubles an existing prefix each round: the block after position m is
+    the prefix scaled by step^m, so the whole sequence costs O(log length)
+    vector multiplies.
+    """
+    small = prime < _SMALL_PRIME_LIMIT
+    g = np.ones(1, dtype=np.uint64 if small else object)
+    while len(g) < length:
+        jump = pow(step, len(g), prime)
+        if small:
+            g = np.concatenate([g, (g * np.uint64(jump)) % np.uint64(prime)])
+        else:
+            g = np.concatenate([g, (g * jump) % prime])
+    return g[:length]
+
+
+@dataclass(frozen=True, eq=False)
+class _TransformPlan:
+    """What every transform of one (size, prime) pair shares.
+
+    ``powers[i]`` is omega^i for omega = root^((prime-1)/size), the
+    size-th root of unity all transforms and evaluations of this size use.
+    Residues ride uint64 lanes below 2^31 and exact Python integers above.
+    """
+
+    size: int
+    prime: int
+    root: int
+    powers: np.ndarray
+
+    @property
+    def modulus(self):
+        return np.uint64(self.prime) if self.prime < _SMALL_PRIME_LIMIT else self.prime
+
+    @property
+    def dtype(self):
+        return np.uint64 if self.prime < _SMALL_PRIME_LIMIT else object
+
+    @property
+    def bit_reversal(self) -> np.ndarray:
+        # built on first use, so evaluation-only callers never pay for it
+        return _bit_reversal(self.size)
+
+    def reduce(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients modulo the prime, on this plan's lane."""
+        if self.prime >= _SMALL_PRIME_LIMIT:
+            return coeffs.astype(object) % self.prime
+        if coeffs.dtype == object:
+            return (coeffs % self.prime).astype(np.uint64)
+        return coeffs % self.modulus
+
+    def power_gather(self, points: np.ndarray, exponent: int) -> np.ndarray:
+        """omega^(k*exponent) for every k in ``points`` (a uint64 array).
+
+        uint64 products wrap modulo 2^64, a multiple of size, so the mask
+        still yields (k*exponent) mod size.
+        """
+        step = np.uint64(exponent % self.size)
+        return self.powers[(points * step) & np.uint64(self.size - 1)]
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(size: int, prime: int) -> _TransformPlan:
+    if size & (size - 1) or (prime - 1) % size:
+        raise ValueError(f"no size-{size} transform modulo {prime}")
+    root = _primitive_root(prime)
+    powers = _geometric(pow(root, (prime - 1) // size, prime), size, prime)
+    powers.flags.writeable = False
+    return _TransformPlan(size, prime, root, powers)
+
+
+def _ntt(values: np.ndarray, prime: int, root: int, inverse: bool = False) -> np.ndarray:
+    """Iterative radix-2 transform modulo ``prime``: out[k] = sum_j v[j] omega^(jk).
+
+    ``root`` must be the primitive root the cached plan for (len(values),
+    prime) is built on.  uint64 arrays stay on fast numpy lanes when the
+    prime is below 2^31, with conditional subtraction in place of the
+    add/sub reductions; object arrays carry exact Python integers
+    otherwise.  The inverse is the forward transform read at -k, scaled
+    by 1/n.
     """
     n = len(values)
     if n & (n - 1):
         raise ValueError("length must be a power of two")
+    plan = _plan(n, prime)
+    if root != plan.root:
+        raise ValueError(f"root {root} is not the plan's primitive root {plan.root}")
+    pm = plan.modulus
     small = prime < _SMALL_PRIME_LIMIT
-    omega = pow(root, (prime - 1) // n, prime)
-    if inverse:
-        omega = pow(omega, prime - 2, prime)
-    data = values[_bit_reversal(n)]
-    # the level with half-width s needs omega^(k*n/(2s)), a stride of this
-    twiddles = _geometric(omega, max(n // 2, 1), prime)
+    data = values[plan.bit_reversal]
     span = 1
     while span < n:
-        tw = twiddles[:: n // (2 * span)][:span]
+        # the level with half-width span needs omega^(j*n/(2*span)), j < span
+        tw = plan.powers[: n // 2 : n // (2 * span)]
         blocks = data.reshape(-1, 2 * span)
         even = blocks[:, :span]
         odd = blocks[:, span:]
+        t = odd * tw
+        t %= pm
         if small:
-            pm = np.uint64(prime)
-            t = (odd * tw) % pm
-            upper = (even + t) % pm
-            lower = (even + pm - t) % pm
+            upper = even + t  # below 2p
+            t -= even
+            np.subtract(pm, t, out=t)  # p + even - t, in [1, 2p); the wraps cancel
+            np.minimum(upper, upper - pm, out=even)
+            np.minimum(t, t - pm, out=odd)
         else:
-            t = (odd * tw) % prime
             upper = (even + t) % prime
-            lower = (even - t) % prime
-        blocks[:, :span] = upper
-        blocks[:, span:] = lower
+            blocks[:, span:] = (even - t) % prime
+            blocks[:, :span] = upper
         span *= 2
     if inverse:
-        n_inv = pow(n, prime - 2, prime)
-        if small:
-            data = (data * np.uint64(n_inv)) % np.uint64(prime)
-        else:
-            data = (data * n_inv) % prime
+        data[1:] = data[:0:-1].copy()
+        data *= pow(n, prime - 2, prime)
+        data %= pm
     return data
 
 
@@ -311,53 +427,107 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
-def convolve_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact integer convolution of two nonnegative coefficient sequences."""
-    if any(x < 0 for x in a) or any(x < 0 for x in b):
-        raise ValueError("coefficients must be nonnegative")
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return []
-    out_len = la + lb - 1
-    if min(la, lb) <= 16:
-        out = [0] * out_len
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
-    max_a, max_b = max(a), max(b)
-    bound = min(la, lb) * max_a * max_b
-    if bound == 0:
-        return [0] * out_len
-    size = _next_pow2(out_len)
+# ---------------------------------------------------------------------------
+# the transform-domain product
+
+
+def _read_targets(table: np.ndarray, plan: _TransformPlan, targets: Sequence[int]) -> list[int]:
+    """size^-1 * sum_k omega^(-k*t) * table[k] modulo the prime, per target t.
+
+    This is one output of the inverse transform, computed in blocks of
+    ``_BLOCK`` points so no temporary grows with the size.
+    """
+    n, pm = plan.size, plan.modulus
+    sums = [0] * len(targets)
+    for start in range(0, n, _BLOCK):
+        points = np.arange(start, min(start + _BLOCK, n), dtype=np.uint64)
+        block = table[start : start + _BLOCK]
+        for i, target in enumerate(targets):
+            # block * p stays below 2^64 on the uint64 lane, so the sum cannot wrap
+            sums[i] += int((plan.power_gather(points, -target) * block % pm).sum())
+    inv_size = pow(n, plan.prime - 2, plan.prime)
+    return [s % plan.prime * inv_size % plan.prime for s in sums]
+
+
+def _coefficients_at(
+    table_for: Callable[[_TransformPlan], np.ndarray],
+    size: int,
+    bound: int,
+    targets: Sequence[int],
+) -> list[int]:
+    """Exact target coefficients of a product given its values per plan.
+
+    ``table_for(plan)`` returns the product's values at every power of
+    the plan's root of unity; ``bound`` exceeds every coefficient.
+    """
     primes = _ntt_primes(size, bound)
-    word_safe = max(max_a, max_b) < (1 << 63)
+    columns = []
+    for prime in primes:
+        plan = _plan(size, prime)
+        columns.append(_read_targets(table_for(plan), plan, targets))
+    return [_crt(residues, primes) for residues in zip(*columns)]
+
+
+def product_coefficients(
+    factors: Sequence[PackedFactor], targets: Sequence[int] | None = None
+) -> list[int]:
+    """Exact coefficients of the product of packed factors.
+
+    Each factor (see ``pack_terms``) needs at least one term.  Every factor
+    is transformed once at the smallest power of two above the product's
+    degree, under as many primes as a bound on the product's coefficients
+    needs, and the transforms are multiplied pointwise.  Without
+    ``targets`` one inverse transform per prime returns all coefficients,
+    indices 0 up to the product's degree; with them only the coefficient
+    at each target index is read off (zero past the degree).
+    """
+    length = sum(int(indices.max()) for indices, _coeffs in factors) + 1
+    size = _next_pow2(length)
+    bound = 1  # the product of masses exceeds every coefficient
+    for _indices, coeffs in factors:
+        bound *= sum(coeffs.tolist())
+
+    def spectrum(plan: _TransformPlan) -> np.ndarray:
+        acc = None
+        for indices, coeffs in factors:
+            values = np.zeros(plan.size, dtype=plan.dtype)
+            values[indices] = plan.reduce(coeffs)
+            values = _ntt(values, plan.prime, plan.root)
+            acc = values if acc is None else acc * values % plan.modulus
+        return acc
+
+    if targets is not None:
+        if any(t < 0 for t in targets):
+            raise ValueError("targets must be nonnegative")
+        inside = [t for t in targets if t < length]
+        if bound and inside:
+            found = dict(zip(inside, _coefficients_at(spectrum, size, bound, inside)))
+        else:
+            found = {}
+        return [found.get(t, 0) for t in targets]
+    if bound == 0:
+        return [0] * length
+    primes = _ntt_primes(size, bound)
     residue_arrays = []
     for prime in primes:
-        root = _primitive_root(prime)
-        small = prime < _SMALL_PRIME_LIMIT
-        if small and word_safe:
-            fa = np.zeros(size, dtype=np.uint64)
-            fb = np.zeros(size, dtype=np.uint64)
-            fa[:la] = np.fromiter(a, dtype=np.uint64, count=la) % np.uint64(prime)
-            fb[:lb] = np.fromiter(b, dtype=np.uint64, count=lb) % np.uint64(prime)
-        else:
-            fa = np.zeros(size, dtype=np.uint64 if small else object)
-            fb = np.zeros(size, dtype=np.uint64 if small else object)
-            fa[:la] = [x % prime for x in a]
-            fb[:lb] = [x % prime for x in b]
-        ta = _ntt(fa, prime, root)
-        tb = _ntt(fb, prime, root)
-        prod = (ta * tb) % (np.uint64(prime) if small else prime)
-        residue_arrays.append(_ntt(prod, prime, root, inverse=True)[:out_len])
+        plan = _plan(size, prime)
+        residue_arrays.append(_ntt(spectrum(plan), prime, plan.root, inverse=True)[:length])
     if len(primes) == 1:
         return residue_arrays[0].tolist()
     if all(p < _SMALL_PRIME_LIMIT for p in primes):
         return _crt_vector(residue_arrays, primes)
     columns = [arr.tolist() for arr in residue_arrays]
-    return [_crt([col[i] for col in columns], primes) for i in range(out_len)]
+    return [_crt([col[i] for col in columns], primes) for i in range(length)]
+
+
+def convolve_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact integer convolution of two nonnegative coefficient sequences."""
+    ca, cb = _coefficient_array(a), _coefficient_array(b)
+    if len(a) == 0 or len(b) == 0:
+        return []
+    return product_coefficients(
+        [(np.arange(len(a), dtype=np.int64), ca), (np.arange(len(b), dtype=np.int64), cb)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +545,9 @@ class EvaluationOracle:
       pair per candidate set, each worth ``u^base * prod(1 + u^e)``;
       evaluation is linear in the factor count instead of the expanded
       term count.
+
+    ``eval_at`` evaluates at one point; the polyspace path evaluates whole
+    blocks of roots of unity at once and is tested against it.
     """
 
     degree_bound: int
@@ -398,49 +571,48 @@ class EvaluationOracle:
         return total % prime
 
 
-def _geometric(step: int, length: int, prime: int) -> np.ndarray:
-    """[1, step, step^2, ...] of the given length, reduced modulo prime.
+def _oracle_block(oracle: EvaluationOracle, plan: _TransformPlan, points: np.ndarray) -> np.ndarray:
+    """The oracle's values at omega^k for every k in ``points``.
 
-    Doubles an existing prefix each round: the block after position m is
-    the prefix scaled by step^m, so the whole sequence costs O(log length)
-    vector multiplies.
+    Each summand is reduced below the prime; on the uint64 lane up to 2^33
+    of them add up without wrapping, so the sum is reduced once.
     """
-    small = prime < _SMALL_PRIME_LIMIT
-    g = np.ones(1, dtype=np.uint64 if small else object)
-    while len(g) < length:
-        jump = pow(step, len(g), prime)
-        if small:
-            g = np.concatenate([g, (g * np.uint64(jump)) % np.uint64(prime)])
-        else:
-            g = np.concatenate([g, (g * jump) % prime])
-    return g[:length]
+    pm = plan.modulus
+    values = np.zeros(len(points), dtype=plan.dtype)
+    if oracle.packed_terms is not None:
+        for e, coeff in oracle.packed_terms:
+            g = plan.power_gather(points, e)
+            coeff %= plan.prime
+            values += g if coeff == 1 else g * coeff % pm
+    else:
+        for base, exps in oracle.packed_factors:
+            part = plan.power_gather(points, base)
+            for e in exps:
+                part = part * (plan.power_gather(points, e) + 1) % pm
+            values += part
+    return values % pm
 
 
 def _product_eval_table(
     oracles: Sequence[EvaluationOracle], prime: int, root: int, size: int
 ) -> np.ndarray:
-    """Values of the oracle product at all size-th roots of unity."""
-    omega = pow(root, (prime - 1) // size, prime)
-    small = prime < _SMALL_PRIME_LIMIT
-    pm = np.uint64(prime) if small else prime
-    total = np.ones(size, dtype=np.uint64 if small else object)
-    for oracle in oracles:
-        if oracle.packed_terms is not None:
-            values = np.zeros(size, dtype=np.uint64 if small else object)
-            for e, coeff in oracle.packed_terms:
-                g = _geometric(pow(omega, e, prime), size, prime)
-                scale = np.uint64(coeff % prime) if small else coeff % prime
-                values = (values + scale * g) % pm
-        else:
-            values = np.zeros(size, dtype=np.uint64 if small else object)
-            for base, exps in oracle.packed_factors:
-                part = _geometric(pow(omega, base, prime), size, prime)
-                for e in exps:
-                    g = _geometric(pow(omega, e, prime), size, prime)
-                    part = (part * ((1 + g) % pm)) % pm
-                values = (values + part) % pm
-        total = (total * values) % pm
-    return total
+    """Values of the oracle product at all size-th roots of unity.
+
+    Built in blocks of ``_BLOCK`` points from gathers into the plan's
+    power table, so beyond the table itself memory stays O(block).
+    """
+    plan = _plan(size, prime)
+    if root != plan.root:
+        raise ValueError(f"root {root} is not the plan's primitive root {plan.root}")
+    pm = plan.modulus
+    table = np.empty(size, dtype=plan.dtype)
+    for start in range(0, size, _BLOCK):
+        points = np.arange(start, min(start + _BLOCK, size), dtype=np.uint64)
+        acc = _oracle_block(oracles[0], plan, points)
+        for oracle in oracles[1:]:
+            acc = acc * _oracle_block(oracle, plan, points) % pm
+        table[start : start + _BLOCK] = acc
+    return table
 
 
 def extract_coefficients_polyspace(
@@ -469,26 +641,11 @@ def extract_coefficients_polyspace(
     bound = 1
     for oracle in oracles:
         bound *= oracle.mass
-    size = _next_pow2(domain)
-    primes = _ntt_primes(size, bound)
-    per_target_residues: list[list[int]] = [[] for _ in targets]
-    for prime in primes:
-        root = _primitive_root(prime)
-        small = prime < _SMALL_PRIME_LIMIT
-        table = _product_eval_table(oracles, prime, root, size)
-        omega = pow(root, (prime - 1) // size, prime)
-        inv_omega = pow(omega, prime - 2, prime)
-        inv_size = pow(size, prime - 2, prime)
-        for ti, target in enumerate(targets):
-            g = _geometric(pow(inv_omega, target, prime), size, prime)
-            if small:
-                # size * prime < 2^64 at every supported size, so the sum
-                # of reduced products cannot wrap
-                dot = int(((g * table) % np.uint64(prime)).sum(dtype=np.uint64))
-            else:
-                dot = int(((g * table) % prime).sum())
-            per_target_residues[ti].append(dot % prime * inv_size % prime)
-    return [_crt(res, primes) for res in per_target_residues]
+
+    def table_for(plan: _TransformPlan) -> np.ndarray:
+        return _product_eval_table(oracles, plan.prime, plan.root, plan.size)
+
+    return _coefficients_at(table_for, _next_pow2(domain), bound, targets)
 
 
 def extract_coefficient_polyspace(

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setpart.encoding import MatrixRepresentation
 from setpart.engine import (
@@ -24,6 +25,7 @@ from setpart.engine import (
     validate_infant_system,
 )
 from setpart.oracle import brute_partition
+from setpart.polyring import multiply
 
 
 def explicit_instance(n, k, families, objective="decision", structure="partition"):
@@ -359,6 +361,39 @@ def test_adding_sets_never_kills_feasibility(rng):
         after = solve_simple(grown).feasible
         if before:
             assert after
+
+
+@st.composite
+def _small_instances(draw, objective):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    entry = st.tuples(st.frozensets(st.integers(1, n)), st.integers(0, 6))
+    families = []
+    for _ in range(k):
+        entries = draw(st.lists(entry, min_size=1, max_size=6))
+        families.append(([s for s, _w in entries], [w for _s, w in entries]))
+    return explicit_instance(n, k, families, objective)
+
+
+@pytest.mark.parametrize("objective", ["count", "min-weight"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_dense_readout_equals_sparse_product(objective, data):
+    """Every probe the dense engine reads equals the schoolbook product's coefficient."""
+    inst = data.draw(_small_instances(objective))
+    polys = build_infant_encoding(inst, InfantSystem.empty(inst.n))
+    product = polys[0]
+    for poly in polys[1:]:
+        product = multiply(product, poly)
+    target = (inst.n, (1 << inst.n) - 1, 0, 0, 0, 0)
+    answer = solve_simple(inst, "dense")
+    assert answer.stats.engine in ("packed-dense", "empty")
+    if inst.objective == "count":
+        assert answer.count == product.coefficient(target)
+        return
+    weight_cap = sum(max(es[6] for es in poly.terms) for poly in polys)
+    feasible = [w for w in range(weight_cap + 1) if product.coefficient(target + (w,))]
+    assert answer.min_weight == (feasible[0] if feasible else None)
 
 
 def test_empty_system_equals_simple(rng):

@@ -1,11 +1,15 @@
 """Sparse products, packed transforms, and coefficient extraction."""
 
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setpart.encoding import RadixVector
 from setpart.polyring import (
+    _BLOCK,
     EvaluationOracle,
     ExactPolynomial,
     RadixOverflowError,
@@ -15,15 +19,23 @@ from setpart.polyring import (
     _is_prime,
     _next_pow2,
     _ntt,
+    _ntt_primes,
+    _plan,
     _primitive_root,
+    _product_eval_table,
     convolve_exact,
     extract_coefficient_polyspace,
     extract_coefficients_polyspace,
     multiply,
     multiply_packed_dense,
+    pack_terms,
+    product_coefficients,
 )
 
 import numpy as np
+
+# derandomized so every run of the suite draws the same examples
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 X = ("x",)
 XY = ("x", "y")
@@ -375,3 +387,184 @@ def test_three_engines_agree(rng):
         for es, c in sparse.terms.items():
             got = extract_coefficient_polyspace(oracles, rv.pack(es), rv.domain_size())
             assert got == c
+
+
+# ---------------------------------------------------------------------------
+# the cached transform plan: transforms and blocked evaluation tables
+
+
+def _lane_dtype(prime):
+    return np.uint64 if prime < (1 << 31) else object
+
+
+def _omega(prime, size):
+    return pow(_primitive_root(prime), (prime - 1) // size, prime)
+
+
+@pytest.mark.parametrize(
+    "prime, n",
+    [(12289, 1), (12289, 2), (12289, 64), (_wide_ntt_prime(64), 1),
+     (_wide_ntt_prime(64), 2), (_wide_ntt_prime(64), 64)],
+)
+def test_ntt_equals_naive_dft(rng, prime, n):
+    root = _primitive_root(prime)
+    omega = _omega(prime, n)
+    values = [rng.randrange(prime) for _ in range(n)]
+    naive = [
+        sum(v * pow(omega, j * k, prime) for j, v in enumerate(values)) % prime
+        for k in range(n)
+    ]
+    spectrum = _ntt(np.array(values, dtype=_lane_dtype(prime)), prime, root)
+    assert [int(x) for x in spectrum] == naive
+    back = _ntt(spectrum, prime, root, inverse=True)
+    assert [int(x) for x in back] == values
+
+
+# 786433 = 3 * 2^18 + 1 carries uint64-lane transforms past one block
+@pytest.mark.parametrize("prime", [786433, _wide_ntt_prime(2 * _BLOCK)])
+def test_ntt_past_one_block_matches_sampled_dft(rng, prime):
+    n = 2 * _BLOCK
+    root = _primitive_root(prime)
+    omega = _omega(prime, n)
+    values = [rng.randrange(prime) for _ in range(n)]
+    spectrum = _ntt(np.array(values, dtype=_lane_dtype(prime)), prime, root)
+    for k in [0, 1, n // 2, n - 1] + rng.sample(range(n), 4):
+        step = pow(omega, k, prime)
+        acc, x = 0, 1
+        for v in values:
+            acc += v * x
+            x = x * step % prime
+        assert int(spectrum[k]) == acc % prime
+    back = _ntt(spectrum, prime, root, inverse=True)
+    assert [int(x) for x in back] == values
+
+
+def test_ntt_rejects_a_foreign_root():
+    prime = 12289
+    other = next(
+        g for g in range(_primitive_root(prime) + 1, prime)
+        if all(pow(g, (prime - 1) // f, prime) != 1 for f in (2, 3))
+    )
+    with pytest.raises(ValueError, match="primitive root"):
+        _ntt(np.zeros(8, dtype=np.uint64), prime, other)
+
+
+def _random_oracles(rng, size):
+    """One oracle of each form, degrees summing below size."""
+    quarter = size // 4
+    terms = {rng.randrange(quarter): rng.randint(1, 10**6) for _ in range(5)}
+    terms[rng.randrange(quarter)] = 1  # the unit-coefficient gather
+    by_terms = EvaluationOracle(
+        degree_bound=max(terms),
+        mass=sum(terms.values()),
+        packed_terms=tuple(sorted(terms.items())),
+    )
+    sets = []
+    for _ in range(3):
+        exps = tuple(rng.randrange(1, quarter // 4) for _ in range(rng.randint(0, 3)))
+        sets.append((rng.randrange(quarter // 4), exps))
+    by_factors = EvaluationOracle(
+        degree_bound=max(base + sum(exps) for base, exps in sets),
+        mass=sum(1 << len(exps) for _base, exps in sets),
+        packed_factors=tuple(sets),
+    )
+    return [by_terms, by_factors]
+
+
+@pytest.mark.parametrize(
+    "prime, size",
+    [(12289, 64), (786433, 2 * _BLOCK),
+     (_wide_ntt_prime(2 * _BLOCK), 64), (_wide_ntt_prime(2 * _BLOCK), 2 * _BLOCK)],
+)
+def test_eval_table_equals_eval_at_every_root(rng, prime, size):
+    oracles = _random_oracles(rng, size)
+    root = _primitive_root(prime)
+    table = _product_eval_table(oracles, prime, root, size)
+    omega = _omega(prime, size)
+    x = 1
+    for k in range(size):
+        expect = oracles[0].eval_at(x, prime) * oracles[1].eval_at(x, prime) % prime
+        assert int(table[k]) == expect, k
+        x = x * omega % prime
+
+
+def test_polyspace_peak_memory_stays_near_one_table():
+    size = 1 << 18
+    oracles = [
+        EvaluationOracle(degree_bound=1000, mass=3, packed_terms=((0, 1), (7, 1), (1000, 1))),
+        EvaluationOracle(
+            degree_bound=size // 2, mass=2, packed_factors=((5, (size // 2 - 5,)),)
+        ),
+    ]
+    targets = [5, 12, size // 2 + 1000, 3]
+    _plan.cache_clear()
+    tracemalloc.start()
+    try:
+        got = extract_coefficients_polyspace(oracles, targets, size)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [1, 1, 1, 0]
+    # the evaluation table and the plan's power table, one word a point
+    # each, plus temporaries of one block
+    assert peak < 3 * 8 * size
+
+
+# ---------------------------------------------------------------------------
+# transform-domain products against the sparse schoolbook product
+
+
+def _poly_strategy(max_exp, max_coeff):
+    term = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    return st.dictionaries(term, st.integers(1, max_coeff), min_size=1, max_size=8)
+
+
+def _sparse_product(factors):
+    product = factors[0]
+    for f in factors[1:]:
+        product = multiply(product, f)
+    return product
+
+
+@PROPERTY
+@given(
+    factor_terms=st.lists(
+        st.one_of(_poly_strategy(4, 9), _poly_strategy(3, 1 << 40)), min_size=1, max_size=4
+    ),
+    probes=st.lists(st.integers(0, 1 << 12), min_size=1, max_size=6),
+)
+def test_product_coefficients_equal_sparse_product(factor_terms, probes):
+    factors = [ExactPolynomial(XY, terms) for terms in factor_terms]
+    sums = [sum(f.max_exponents()[i] for f in factors) for i in range(2)]
+    # one spare row on y, so packed indices past the product's degree exist
+    rv = RadixVector(XY, (sums[0] + 1, sums[1] + 2))
+    sparse = _sparse_product(factors)
+    packed = [pack_terms(f.terms, rv) for f in factors]
+    domain = rv.domain_size()
+    targets = [t % (2 * domain) for t in probes]
+    expect = [sparse.coefficient(rv.unpack(t)) if t < domain else 0 for t in targets]
+    assert product_coefficients(packed, targets) == expect
+    full = product_coefficients(packed)
+    assert {rv.unpack(i): c for i, c in enumerate(full) if c} == sparse.terms
+
+
+def test_product_coefficients_run_the_crt_on_wide_coefficients(rng):
+    rv = RadixVector(XY, (9, 9))
+    factors = [
+        ExactPolynomial(XY, {(rng.randint(0, 2), rng.randint(0, 2)): rng.getrandbits(60) + 1
+                             for _ in range(4)})
+        for _ in range(3)
+    ]
+    packed = [pack_terms(f.terms, rv) for f in factors]
+    size = _next_pow2(sum(int(idx.max()) for idx, _c in packed) + 1)
+    assert len(_ntt_primes(size, math.prod(f.mass() for f in factors))) >= 2
+    sparse = _sparse_product(factors)
+    targets = [rv.pack(es) for es in sparse.terms] + [rv.domain_size() - 1]
+    got = product_coefficients(packed, targets)
+    assert got == [sparse.terms[es] for es in sparse.terms] + [0]
+
+
+def test_product_coefficients_validate_targets():
+    packed = [pack_terms({(1, 0): 1}, RadixVector(XY, (3, 1)))]
+    with pytest.raises(ValueError, match="nonnegative"):
+        product_coefficients(packed, [-1])
