@@ -6,9 +6,10 @@ answer alone.  ``--json`` switches standard output to a single JSON
 object holding the answer and the statistics together.
 
 Exit status: 0 when the problem was solved (including "no tour exists"),
-1 on parse or configuration errors, 2 when the input falls outside the
-problem's definition (odd vertex count for matchings, fewer than three
-vertices for tours).
+1 on parse or configuration errors (a family system that does not fit
+the instance, or a product no transform primes cover, included), 2 when
+the input falls outside the problem's definition (odd vertex count for
+matchings, fewer than three vertices for tours).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .engine import (
     EncodingError,
     InfantSystem,
     InfantSystemError,
+    RowNormalizationError,
     instance_from_json,
     solve_cover,
     solve_with_infants,
@@ -43,7 +45,7 @@ from .oracle import (
     brute_partition,
     brute_tsp,
 )
-from .polyring import DENSE_BUDGET_CELLS
+from .polyring import DENSE_BUDGET_CELLS, TransformUnavailableError
 from .problems import (
     DRIVER_BUDGET_CELLS,
     StatsRecorder,
@@ -262,7 +264,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"setpart: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, EncodingError, InfantSystemError) as exc:
+    except (
+        GraphFormatError,
+        EncodingError,
+        InfantSystemError,
+        RowNormalizationError,
+        TransformUnavailableError,
+    ) as exc:
         print(f"setpart: {exc}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, OSError) as exc:

@@ -12,12 +12,13 @@ relative from R_i, which lets the grid invariants of
 :mod:`setpart.encoding` replace the full subset axis over those elements
 and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
 
-Dense mode either transforms every packed factor once, multiplies the
-transforms pointwise and reads only the target coefficients off the
-result (under a cell budget), or folds the sparse factors with pruning
-above it; polyspace mode extracts the target coefficients from point
-evaluations of the factors without materializing anything of product
-size.
+Dense mode either reads only the target coefficients of the product of
+the packed factors in one blocked pass over the roots of unity (under a
+cell budget; factors of a few terms are evaluated by gathers, heavier
+ones transformed once), or folds the sparse factors with pruning above
+it; polyspace mode reads the target coefficients the same way from
+evaluation oracles of the factors, never transforming or materializing
+anything of product size.
 """
 
 from __future__ import annotations

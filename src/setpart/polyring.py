@@ -6,16 +6,22 @@ Two multiplication strategies coexist:
 - packed transforms: exponent tuples are packed into a mixed-radix index
   (``pack_terms``) and the product is formed at the power-of-two roots of
   unity modulo several primes, then read back exactly through CRT.  Every
-  transform of one (size, prime) pair runs on one cached plan: its
-  primitive root, its table of root powers and its bit-reversal.
+  transform and evaluation of one (size, prime) pair runs on one cached
+  plan: its primitive root, its table of root powers and its
+  bit-reversal.
 
-  - ``product_coefficients`` transforms each factor once and multiplies
-    pointwise; it reads either every coefficient through one inverse
-    transform (``multiply_packed_dense``, ``convolve_exact``) or only the
-    requested ones straight from the transform (the engine's dense mode);
-  - ``extract_coefficients_polyspace`` builds the same pointwise values
-    from evaluation oracles, block by block, never expanding a factor
-    (Lokshtanov-Nederlof, "Saving space by algebraization", STOC 2010).
+  - full products (``multiply_packed_dense``, ``convolve_exact``)
+    transform each factor, multiply pointwise and invert;
+  - a set of target coefficients is read in one blocked evaluate-and-read
+    pass: per block of roots every factor is evaluated, the values are
+    multiplied, and each target's inverse-transform sum is accumulated,
+    so no table of product size is stored.  Factors of a few terms are
+    evaluated by gathers from the power table; in the engine's dense mode
+    (``product_coefficients`` with targets) a heavier factor is
+    transformed once and read in slices, while polyspace
+    (``extract_coefficients_polyspace``, from evaluation oracles) never
+    transforms or expands a factor (Lokshtanov-Nederlof, "Saving space by
+    algebraization", STOC 2010).
 
 All arithmetic is exact; floats never appear.
 """
@@ -50,9 +56,15 @@ DENSE_BUDGET_CELLS = 1 << 26
 _SMALL_PRIME_LIMIT = 1 << 31  # products of two residues stay under 2^62
 _WIDE_PRIME_LIMIT = 1 << 62
 
-# Root-power gathers and target readouts run this many points at a time,
-# so their temporaries stay O(block) whatever the transform size.
+# The readout pass evaluates and reads this many points at a time, so its
+# temporaries stay O(block) whatever the transform size (at most 2^17,
+# which keeps a block's split readout sums below 2^64).
 _BLOCK = 1 << 14
+# Factors with at most this many terms are evaluated by power-table
+# gathers, heavier ones by one transform: per point a transform costs
+# 107-181 ns and one gathered term 3.5-7.3 ns at sizes 2^12-2^19 (2-core
+# x86 box, numpy 2.4), a crossover of 25-42 terms.
+_GATHER_TERMS = 24
 # Entries kept by each plan cache (plans, bit-reversals, prime lists); a
 # plan holds O(size) words, so the caches are bounded rather than growing
 # with the number of distinct sizes.
@@ -322,13 +334,13 @@ class _TransformPlan:
         return coeffs % self.modulus
 
     def power_gather(self, points: np.ndarray, exponent: int) -> np.ndarray:
-        """omega^(k*exponent) for every k in ``points`` (a uint64 array).
+        """omega^(k*exponent) for every k in ``points`` (an int64 array).
 
-        uint64 products wrap modulo 2^64, a multiple of size, so the mask
+        int64 indices gather without the cast numpy makes of uint64 ones;
+        their products wrap modulo 2^64, a multiple of size, so the mask
         still yields (k*exponent) mod size.
         """
-        step = np.uint64(exponent % self.size)
-        return self.powers[(points * step) & np.uint64(self.size - 1)]
+        return self.powers[(points * (exponent % self.size)) & (self.size - 1)]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -428,44 +440,122 @@ def _next_pow2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the transform-domain product
+# the fused evaluate-and-read pass
+
+# One factor's values at omega^k for every k in a block of points (an
+# int64 arange of at most _BLOCK points), on the plan's lane.
+_Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
-def _read_targets(table: np.ndarray, plan: _TransformPlan, targets: Sequence[int]) -> list[int]:
-    """size^-1 * sum_k omega^(-k*t) * table[k] modulo the prime, per target t.
+def _blocks(size: int):
+    """The points 0..size-1, in int64 aranges of at most ``_BLOCK`` each."""
+    for start in range(0, size, _BLOCK):
+        yield np.arange(start, min(start + _BLOCK, size), dtype=np.int64)
 
-    This is one output of the inverse transform, computed in blocks of
-    ``_BLOCK`` points so no temporary grows with the size.
+
+def _terms_values(
+    plan: _TransformPlan, points: np.ndarray, terms: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """sum c * omega^(k*e) over (e, c) in ``terms`` (c reduced) for every k in ``points``.
+
+    Each summand is reduced below the prime; on the uint64 lane up to 2^33
+    of them add up without wrapping, so the sum is reduced once.
     """
-    n, pm = plan.size, plan.modulus
-    sums = [0] * len(targets)
-    for start in range(0, n, _BLOCK):
-        points = np.arange(start, min(start + _BLOCK, n), dtype=np.uint64)
-        block = table[start : start + _BLOCK]
+    pm = plan.modulus
+    values = np.zeros(len(points), dtype=plan.dtype)
+    for e, c in terms:
+        g = plan.power_gather(points, e)
+        values += g if c == 1 else g * c % pm
+    return values % pm
+
+
+def _transform(plan: _TransformPlan, factor: PackedFactor) -> np.ndarray:
+    """The factor's values at every power of the plan's root, by one ``_ntt``."""
+    indices, coeffs = factor
+    values = np.zeros(plan.size, dtype=plan.dtype)
+    values[indices] = plan.reduce(coeffs)
+    return _ntt(values, plan.prime, plan.root)
+
+
+def _packed_evaluator(plan: _TransformPlan, factor: PackedFactor) -> _Evaluator:
+    """Gathers for a factor of at most ``_GATHER_TERMS`` terms; slices of its
+    transform, computed once per plan, for a heavier one."""
+    indices, coeffs = factor
+    if len(indices) <= _GATHER_TERMS:
+        terms = list(zip(indices.tolist(), plan.reduce(coeffs).tolist()))
+        return lambda points: _terms_values(plan, points, terms)
+    spectrum = _transform(plan, factor)
+    return lambda points: spectrum[points[0] : points[0] + len(points)]
+
+
+def _product_block(
+    evaluators: Sequence[_Evaluator], plan: _TransformPlan, points: np.ndarray
+) -> np.ndarray:
+    """The product of the factors' values at one block of points."""
+    values = evaluators[0](points)
+    for evaluate in evaluators[1:]:
+        values = values * evaluate(points) % plan.modulus
+    return values
+
+
+def _add_readouts(
+    plan: _TransformPlan,
+    points: np.ndarray,
+    values: np.ndarray,
+    targets: Sequence[int],
+    sums: list[int],
+) -> None:
+    """sums[i] += sum_k omega^(-k*targets[i]) * values[k] over one block, mod the prime."""
+    prime = plan.prime
+    if prime >= _SMALL_PRIME_LIMIT:
         for i, target in enumerate(targets):
-            # block * p stays below 2^64 on the uint64 lane, so the sum cannot wrap
-            sums[i] += int((plan.power_gather(points, -target) * block % pm).sum())
-    inv_size = pow(n, plan.prime - 2, plan.prime)
-    return [s % plan.prime * inv_size % plan.prime for s in sums]
+            sums[i] = (sums[i] + int(plan.power_gather(points, -target) @ values)) % prime
+        return
+    # values below 2^31 split into 16-bit halves: every product then stays
+    # below 2^47, so a block of up to 2^17 of them sums exactly on uint64
+    low = values & np.uint64(0xFFFF)
+    high = values >> np.uint64(16)
+    for i, target in enumerate(targets):
+        g = plan.power_gather(points, -target)
+        sums[i] = (sums[i] + int(g @ low) + (int(g @ high) << 16)) % prime
 
 
-def _coefficients_at(
-    table_for: Callable[[_TransformPlan], np.ndarray],
-    size: int,
+def _read_coefficients(
+    evaluators_for: Callable[[_TransformPlan], list[_Evaluator]],
+    degree: int,
     bound: int,
     targets: Sequence[int],
 ) -> list[int]:
-    """Exact target coefficients of a product given its values per plan.
+    """Exact coefficients at nonnegative ``targets`` of a product of the given degree.
 
-    ``table_for(plan)`` returns the product's values at every power of
-    the plan's root of unity; ``bound`` exceeds every coefficient.
+    ``evaluators_for(plan)`` returns one evaluator per factor, and
+    ``bound`` exceeds every coefficient.  The transform size is the
+    smallest power of two above the degree.  For each prime and each block
+    of points the factors are evaluated and multiplied pointwise, and
+    omega^(-k*t) times each value is added into target t's running sum:
+    t's output of the inverse transform, so the product's values are never
+    stored.  Targets past the degree read 0.
     """
+    inside = sorted({t for t in targets if t <= degree})
+    if not bound or not inside:
+        return [0] * len(targets)
+    size = _next_pow2(degree + 1)
     primes = _ntt_primes(size, bound)
     columns = []
     for prime in primes:
         plan = _plan(size, prime)
-        columns.append(_read_targets(table_for(plan), plan, targets))
-    return [_crt(residues, primes) for residues in zip(*columns)]
+        evaluators = evaluators_for(plan)
+        sums = [0] * len(inside)
+        for points in _blocks(size):
+            _add_readouts(plan, points, _product_block(evaluators, plan, points), inside, sums)
+        inv_size = pow(size, prime - 2, prime)
+        columns.append([s * inv_size % prime for s in sums])
+    found = {t: _crt(residues, primes) for t, residues in zip(inside, zip(*columns))}
+    return [found.get(t, 0) for t in targets]
+
+
+# ---------------------------------------------------------------------------
+# products of packed factors
 
 
 def product_coefficients(
@@ -473,45 +563,38 @@ def product_coefficients(
 ) -> list[int]:
     """Exact coefficients of the product of packed factors.
 
-    Each factor (see ``pack_terms``) needs at least one term.  Every factor
-    is transformed once at the smallest power of two above the product's
-    degree, under as many primes as a bound on the product's coefficients
-    needs, and the transforms are multiplied pointwise.  Without
-    ``targets`` one inverse transform per prime returns all coefficients,
-    indices 0 up to the product's degree; with them only the coefficient
-    at each target index is read off (zero past the degree).
+    Each factor (see ``pack_terms``) needs at least one term; primes come
+    from a bound on the product's coefficients, and the transform size is
+    the smallest power of two above the product's degree.  Without
+    ``targets`` every factor is transformed, the transforms are multiplied
+    pointwise and one inverse transform per prime returns all
+    coefficients, indices 0 up to the degree.  With them only the
+    coefficient at each target index is read (zero past the degree), in
+    one blocked pass that gathers light factors and transforms only those
+    above ``_GATHER_TERMS`` terms.
     """
-    length = sum(int(indices.max()) for indices, _coeffs in factors) + 1
-    size = _next_pow2(length)
+    degree = sum(int(indices.max()) for indices, _coeffs in factors)
     bound = 1  # the product of masses exceeds every coefficient
     for _indices, coeffs in factors:
         bound *= sum(coeffs.tolist())
-
-    def spectrum(plan: _TransformPlan) -> np.ndarray:
-        acc = None
-        for indices, coeffs in factors:
-            values = np.zeros(plan.size, dtype=plan.dtype)
-            values[indices] = plan.reduce(coeffs)
-            values = _ntt(values, plan.prime, plan.root)
-            acc = values if acc is None else acc * values % plan.modulus
-        return acc
-
     if targets is not None:
         if any(t < 0 for t in targets):
             raise ValueError("targets must be nonnegative")
-        inside = [t for t in targets if t < length]
-        if bound and inside:
-            found = dict(zip(inside, _coefficients_at(spectrum, size, bound, inside)))
-        else:
-            found = {}
-        return [found.get(t, 0) for t in targets]
+        return _read_coefficients(
+            lambda plan: [_packed_evaluator(plan, f) for f in factors], degree, bound, targets
+        )
+    length = degree + 1
     if bound == 0:
         return [0] * length
+    size = _next_pow2(length)
     primes = _ntt_primes(size, bound)
     residue_arrays = []
     for prime in primes:
         plan = _plan(size, prime)
-        residue_arrays.append(_ntt(spectrum(plan), prime, plan.root, inverse=True)[:length])
+        spectrum = _transform(plan, factors[0])
+        for factor in factors[1:]:
+            spectrum = spectrum * _transform(plan, factor) % plan.modulus
+        residue_arrays.append(_ntt(spectrum, prime, plan.root, inverse=True)[:length])
     if len(primes) == 1:
         return residue_arrays[0].tolist()
     if all(p < _SMALL_PRIME_LIMIT for p in primes):
@@ -571,26 +654,28 @@ class EvaluationOracle:
         return total % prime
 
 
-def _oracle_block(oracle: EvaluationOracle, plan: _TransformPlan, points: np.ndarray) -> np.ndarray:
-    """The oracle's values at omega^k for every k in ``points``.
-
-    Each summand is reduced below the prime; on the uint64 lane up to 2^33
-    of them add up without wrapping, so the sum is reduced once.
-    """
+def _binomials_values(
+    plan: _TransformPlan,
+    points: np.ndarray,
+    sets: Sequence[tuple[int, tuple[int, ...]]],
+) -> np.ndarray:
+    """sum omega^(k*base) * prod(1 + omega^(k*e)) over ``sets``, per k in ``points``."""
     pm = plan.modulus
     values = np.zeros(len(points), dtype=plan.dtype)
-    if oracle.packed_terms is not None:
-        for e, coeff in oracle.packed_terms:
-            g = plan.power_gather(points, e)
-            coeff %= plan.prime
-            values += g if coeff == 1 else g * coeff % pm
-    else:
-        for base, exps in oracle.packed_factors:
-            part = plan.power_gather(points, base)
-            for e in exps:
-                part = part * (plan.power_gather(points, e) + 1) % pm
-            values += part
+    for base, exps in sets:
+        part = plan.power_gather(points, base)
+        for e in exps:
+            part = part * (plan.power_gather(points, e) + 1) % pm
+        values += part
     return values % pm
+
+
+def _oracle_evaluator(plan: _TransformPlan, oracle: EvaluationOracle) -> _Evaluator:
+    """Gathers for either representation; polyspace never transforms."""
+    if oracle.packed_terms is not None:
+        terms = [(e, c % plan.prime) for e, c in oracle.packed_terms]
+        return lambda points: _terms_values(plan, points, terms)
+    return lambda points: _binomials_values(plan, points, oracle.packed_factors)
 
 
 def _product_eval_table(
@@ -598,21 +683,14 @@ def _product_eval_table(
 ) -> np.ndarray:
     """Values of the oracle product at all size-th roots of unity.
 
-    Built in blocks of ``_BLOCK`` points from gathers into the plan's
-    power table, so beyond the table itself memory stays O(block).
+    The blocks of the readout pass, concatenated; readouts never build
+    this table.
     """
     plan = _plan(size, prime)
     if root != plan.root:
         raise ValueError(f"root {root} is not the plan's primitive root {plan.root}")
-    pm = plan.modulus
-    table = np.empty(size, dtype=plan.dtype)
-    for start in range(0, size, _BLOCK):
-        points = np.arange(start, min(start + _BLOCK, size), dtype=np.uint64)
-        acc = _oracle_block(oracles[0], plan, points)
-        for oracle in oracles[1:]:
-            acc = acc * _oracle_block(oracle, plan, points) % pm
-        table[start : start + _BLOCK] = acc
-    return table
+    evaluators = [_oracle_evaluator(plan, o) for o in oracles]
+    return np.concatenate([_product_block(evaluators, plan, points) for points in _blocks(size)])
 
 
 def extract_coefficients_polyspace(
@@ -620,11 +698,14 @@ def extract_coefficients_polyspace(
 ) -> list[int]:
     """Exact coefficients of a product, one per packed target index.
 
-    The product is evaluated at every d-th root of unity modulo several
-    primes (d = smallest power of two at or above ``domain``) and each
-    requested coefficient is read off as the inverse-transform sum
-    d^-1 * sum_k omega^(-k*target) * product(omega^k).  Space stays O(d)
-    per prime no matter how many terms the product would expand to.
+    Every target must lie inside ``domain``, and so must the product's
+    degree.  Each requested coefficient is the inverse-transform sum
+    d^-1 * sum_k omega^(-k*target) * product(omega^k) at the d-th roots
+    of unity (d = smallest power of two above the degree), modulo as many
+    primes as the product of masses needs.  The sums run in one blocked
+    pass of gathers, so beyond the plan's power table space stays
+    O(block) per prime no matter how many terms the product would expand
+    to.  Targets past the degree read 0.
     """
     if not oracles:
         raise ValueError("empty product")
@@ -636,16 +717,12 @@ def extract_coefficients_polyspace(
     total_degree = sum(o.degree_bound for o in oracles)
     if total_degree >= domain:
         raise ValueError(f"product degree {total_degree} wraps past domain {domain}")
-    if any(o.mass == 0 for o in oracles):
-        return [0] * len(targets)
     bound = 1
     for oracle in oracles:
         bound *= oracle.mass
-
-    def table_for(plan: _TransformPlan) -> np.ndarray:
-        return _product_eval_table(oracles, plan.prime, plan.root, plan.size)
-
-    return _coefficients_at(table_for, _next_pow2(domain), bound, targets)
+    return _read_coefficients(
+        lambda plan: [_oracle_evaluator(plan, o) for o in oracles], total_degree, bound, targets
+    )
 
 
 def extract_coefficient_polyspace(

@@ -223,6 +223,22 @@ def test_solve_instance_with_system_file(capsys, tmp_path):
     assert json.loads(err)["recorder"]["systems_used"] == 1
 
 
+def test_misfitting_system_file_exits_one(capsys, tmp_path):
+    """family-1's set {1, 3} holds infant 1 without its relative 2."""
+    inst_path = instance_file(
+        tmp_path,
+        {"n": 4, "k": 2, "families": [[{"set": [1, 3]}], [{"set": [2, 4]}]]},
+    )
+    sys_path = instance_file(
+        tmp_path,
+        {"q": 2, "families": [{"set": [1, 2], "infant": 1}]},
+        name="system.json",
+    )
+    code, out, err = run_cli(capsys, "solve", "instance", "--infants", sys_path, inst_path)
+    assert code == 1 and out == ""
+    assert err.startswith("setpart: provider family-1") and "Traceback" not in err
+
+
 def test_instance_set_budget(capsys, tmp_path):
     path = instance_file(
         tmp_path,

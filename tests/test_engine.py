@@ -25,7 +25,7 @@ from setpart.engine import (
     validate_infant_system,
 )
 from setpart.oracle import brute_partition
-from setpart.polyring import multiply
+from setpart.polyring import _GATHER_TERMS, multiply
 
 
 def explicit_instance(n, k, families, objective="decision", structure="partition"):
@@ -393,6 +393,30 @@ def test_dense_readout_equals_sparse_product(objective, data):
         return
     weight_cap = sum(max(es[6] for es in poly.terms) for poly in polys)
     feasible = [w for w in range(weight_cap + 1) if product.coefficient(target + (w,))]
+    assert answer.min_weight == (feasible[0] if feasible else None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_dense_min_weight_probes_across_the_gather_limit(data):
+    """One family above _GATHER_TERMS terms, the others below: every probe
+    the dense engine reads equals the schoolbook product's coefficient."""
+    n = data.draw(st.integers(5, 6))
+    entry = st.tuples(st.frozensets(st.integers(1, n)), st.integers(0, 6))
+    heavy = data.draw(st.lists(entry, min_size=_GATHER_TERMS + 1, max_size=40, unique=True))
+    light = data.draw(st.lists(st.lists(entry, min_size=1, max_size=6), min_size=1, max_size=2))
+    families = [([s for s, _w in es], [w for _s, w in es]) for es in [heavy, *light]]
+    inst = explicit_instance(n, len(families), families, "min-weight")
+    polys = build_infant_encoding(inst, InfantSystem.empty(n))
+    assert len(polys[0].terms) > _GATHER_TERMS >= max(len(p.terms) for p in polys[1:])
+    product = polys[0]
+    for poly in polys[1:]:
+        product = multiply(product, poly)
+    target = (n, (1 << n) - 1, 0, 0, 0, 0)
+    weight_cap = sum(max(es[6] for es in poly.terms) for poly in polys)
+    feasible = [w for w in range(weight_cap + 1) if product.coefficient(target + (w,))]
+    answer = solve_simple(inst, "dense")
+    assert answer.stats.engine in ("packed-dense", "empty")
     assert answer.min_weight == (feasible[0] if feasible else None)
 
 

@@ -7,9 +7,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import setpart.polyring
 from setpart.encoding import RadixVector
 from setpart.polyring import (
     _BLOCK,
+    _GATHER_TERMS,
     EvaluationOracle,
     ExactPolynomial,
     RadixOverflowError,
@@ -510,6 +512,32 @@ def test_polyspace_peak_memory_stays_near_one_table():
     assert peak < 3 * 8 * size
 
 
+def _polyspace_peak(size):
+    """tracemalloc peak of one polyspace readout at this size, plan warm."""
+    oracles = [
+        EvaluationOracle(degree_bound=1000, mass=3, packed_terms=((0, 1), (7, 1), (1000, 1))),
+        EvaluationOracle(
+            degree_bound=size // 2, mass=2, packed_factors=((5, (size // 2 - 5,)),)
+        ),
+    ]
+    targets = [5, 12, size // 2 + 1000, 3]
+    # builds and caches the plan, whose power table is not counted
+    extract_coefficients_polyspace(oracles, targets, size)
+    tracemalloc.start()
+    try:
+        got = extract_coefficients_polyspace(oracles, targets, size)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [1, 1, 1, 0]
+    return peak
+
+
+def test_polyspace_peak_memory_flat_as_the_domain_grows():
+    small = _polyspace_peak(1 << 14)
+    assert _polyspace_peak(1 << 18) <= 1.25 * small
+
+
 # ---------------------------------------------------------------------------
 # transform-domain products against the sparse schoolbook product
 
@@ -546,6 +574,63 @@ def test_product_coefficients_equal_sparse_product(factor_terms, probes):
     assert product_coefficients(packed, targets) == expect
     full = product_coefficients(packed)
     assert {rv.unpack(i): c for i, c in enumerate(full) if c} == sparse.terms
+
+
+def _terms_around_gather_limit(light, max_exp, min_coeff, max_coeff):
+    """One-variable term maps with at most, or more than, _GATHER_TERMS terms."""
+    low, high = (1, _GATHER_TERMS) if light else (_GATHER_TERMS + 1, _GATHER_TERMS + 16)
+    return st.dictionaries(
+        st.integers(0, max_exp), st.integers(min_coeff, max_coeff), min_size=low, max_size=high
+    )
+
+
+# shape -> (max exponent, coefficient range); "object-lane" also pins the
+# transform to one prime above 2^31
+READOUT_SHAPES = {
+    "one-block": (60, (1, 9)),
+    "multi-block": (_BLOCK, (1, 9)),
+    "multi-prime": (60, (1 << 30, 1 << 40)),
+    "object-lane": (60, (1, 9)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(READOUT_SHAPES))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_targeted_readout_equals_multiply(shape, data):
+    """Gathered and transformed factors together read the schoolbook product."""
+    max_exp, (lo, hi) = READOUT_SHAPES[shape]
+    heavy = data.draw(_terms_around_gather_limit(False, max_exp, lo, hi))
+    light = data.draw(_terms_around_gather_limit(True, max_exp, lo, hi))
+    extra = data.draw(st.lists(
+        st.booleans().flatmap(lambda light: _terms_around_gather_limit(light, max_exp, lo, hi)),
+        max_size=1,
+    ))
+    if shape == "multi-block":
+        heavy[max_exp] = 1  # the product's degree passes one block
+    factors = [ExactPolynomial(X, {(e,): c for e, c in terms.items()})
+               for terms in [heavy, light, *extra]]
+    rv = RadixVector(X, (sum(f.max_exponents()[0] for f in factors) + 1,))
+    packed = [pack_terms(f.terms, rv) for f in factors]
+    degree = rv.domain_size() - 1
+    size = _next_pow2(degree + 1)
+    sparse = _sparse_product(factors)
+    probes = data.draw(st.lists(st.integers(0, 2 * size), min_size=1, max_size=6))
+    # the lowest and the highest term, and the first index past the degree
+    targets = probes + [sum(min(f.terms)[0] for f in factors), degree, degree + 1]
+    expect = [sparse.coefficient((t,)) for t in targets]
+    assert expect[-3] and expect[-2] and not expect[-1]
+    bound = math.prod(f.mass() for f in factors)
+    if shape == "multi-block":
+        assert size > _BLOCK
+    if shape == "multi-prime":
+        assert len(_ntt_primes(size, bound)) >= 2
+    with pytest.MonkeyPatch.context() as mp:
+        if shape == "object-lane":
+            wide = _wide_ntt_prime(size)
+            assert bound < wide
+            mp.setattr(setpart.polyring, "_ntt_primes", lambda _size, _bound: (wide,))
+        assert product_coefficients(packed, targets) == expect
 
 
 def test_product_coefficients_run_the_crt_on_wide_coefficients(rng):
