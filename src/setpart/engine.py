@@ -15,10 +15,13 @@ and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
 Dense mode either reads only the target coefficients of the product of
 the packed factors in one blocked pass over the roots of unity (under a
 cell budget; factors of a few terms are evaluated by gathers, heavier
-ones transformed once), or folds the sparse factors with pruning above
-it; polyspace mode reads the target coefficients the same way from
-evaluation oracles of the factors, never transforming or materializing
-anything of product size.
+ones transformed once), or folds the sparse factors above it: each
+exponent vector is one int of bit fields, and a guard bit per field
+prunes every partial product past the target.  Min-weight reads one
+coefficient per weight in the transforms but folds in the (min,+)
+semiring, with no cost axis in the key.  Polyspace mode reads the target
+coefficients like dense mode from evaluation oracles of the factors,
+never transforming or materializing anything of product size.
 """
 
 from __future__ import annotations
@@ -409,27 +412,74 @@ class SolveAnswer:
 
 
 def _fold_sparse(
-    term_maps: Sequence[dict[tuple[int, ...], int]], limits: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """Product of sparse term maps, pruning exponents past the target.
+    term_maps: Sequence[dict[tuple[int, ...], int]],
+    target: tuple[int, ...],
+    min_plus: bool,
+) -> int | None:
+    """Value at ``target`` of the product of sparse term maps.
 
-    Sound because exponents only grow: a partial product already above
-    the target on any coordinate can never fall back onto it.
+    Counting semiring: the coefficient (0 when unreachable).  (min,+)
+    semiring: a term's coordinate past the target's is its cost, each
+    factor keeps its cheapest cost per exponent vector, and the result is
+    the least cost summed over one term per factor (None when
+    unreachable).
+
+    Each exponent vector packs into one int, coordinate v in a field of
+    w = bit_length(target[v]) + 1 bits.  Partial products carry a bias of
+    2^(w-1) - 1 - target[v] per field, so adding an in-limit term sets a
+    field's top (guard) bit exactly when that coordinate passes the
+    target, and no field carries into the next.  Such products are
+    pruned, which is sound because exponents only grow; a term past the
+    target on its own is dropped while packing.  The last factor is
+    joined by lookup, since only the target is read.
     """
-    arity = len(limits)
-    acc: dict[tuple[int, ...], int] = {(0,) * arity: 1}
+    offsets = []
+    bias = guard = width = 0
+    for limit in target:
+        offsets.append(width)
+        bits = limit.bit_length()
+        bias |= ((1 << bits) - 1 - limit) << width
+        guard |= 1 << (width + bits)
+        width += bits + 1
+    factors = []
     for terms in term_maps:
-        nxt: dict[tuple[int, ...], int] = {}
-        for ea, ca in acc.items():
-            for eb, cb in terms.items():
-                combined = tuple(x + y for x, y in zip(ea, eb))
-                if any(c > lim for c, lim in zip(combined, limits)):
-                    continue
-                nxt[combined] = nxt.get(combined, 0) + ca * cb
+        packed: dict[int, int] = {}
+        for exps, value in terms.items():
+            if any(e > t for e, t in zip(exps, target)):
+                continue
+            key = sum(e << o for e, o in zip(exps, offsets))
+            if not min_plus:
+                packed[key] = packed.get(key, 0) + value
+            elif exps[-1] < packed.get(key, exps[-1] + 1):
+                packed[key] = exps[-1]
+        factors.append(packed)
+
+    acc = {bias: 0 if min_plus else 1}
+    for factor in factors[:-1]:
+        items = list(factor.items())
+        nxt: dict[int, int] = {}
+        if min_plus:
+            for ea, wa in acc.items():
+                for eb, wb in items:
+                    e = ea + eb
+                    if not e & guard:
+                        w = wa + wb
+                        if w < nxt.get(e, w + 1):
+                            nxt[e] = w
+        else:
+            for ea, ca in acc.items():
+                for eb, cb in items:
+                    e = ea + eb
+                    if not e & guard:
+                        nxt[e] = nxt.get(e, 0) + ca * cb
         acc = nxt
-        if not acc:
-            break
-    return acc
+    goal = bias + sum(t << o for t, o in zip(target, offsets))
+    last = factors[-1]
+    # every accumulated key is within the target, so goal - e packs t - a
+    if min_plus:
+        costs = [w + last[goal - e] for e, w in acc.items() if goal - e in last]
+        return min(costs, default=None)
+    return sum(c * last.get(goal - e, 0) for e, c in acc.items())
 
 
 def _interpret(
@@ -490,14 +540,21 @@ def _solve_encoded(
             radices=radices,
         )
 
-    weight_cap = maxima[6] if cost_axis else 0
-    probes = list(range(weight_cap + 1)) if cost_axis else [0]
-
     # a target past some radix has coefficient zero in every mode
     reachable = all(t < r for t, r in zip(target, radices[:6]))
     if not all(term_maps) or not reachable:
-        return _interpret(inst.objective, [(w, 0) for w in probes], stats_for("empty"))
+        return _interpret(inst.objective, [], stats_for("empty"))
 
+    if space == "dense" and domain > budget_cells:
+        found = _fold_sparse(term_maps, target, cost_axis)
+        if not cost_axis:
+            readouts = [(0, found)]
+        else:
+            readouts = [] if found is None else [(found, 1)]
+        return _interpret(inst.objective, readouts, stats_for("sparse-fold"))
+
+    # the transforms read one coefficient per weight the factors can sum to
+    probes = list(range(maxima[6] + 1)) if cost_axis else [0]
     radix = RadixVector(variables, radices)
     full_targets = [target + (w,) for w in probes] if cost_axis else [target]
 
@@ -518,18 +575,12 @@ def _solve_encoded(
         readouts = list(zip(probes, coeffs))
         return _interpret(inst.objective, readouts, stats_for("polyspace"))
 
-    if domain <= budget_cells:
-        coeffs = product_coefficients(
-            [pack_terms(terms, radix) for terms in term_maps],
-            [radix.pack(t) for t in full_targets],
-        )
-        readouts = list(zip(probes, coeffs))
-        return _interpret(inst.objective, readouts, stats_for("packed-dense"))
-
-    limits = target + (weight_cap,) if cost_axis else target
-    folded = _fold_sparse(term_maps, limits)
-    readouts = [(w, folded.get(t, 0)) for w, t in zip(probes, full_targets)]
-    return _interpret(inst.objective, readouts, stats_for("sparse-fold"))
+    coeffs = product_coefficients(
+        [pack_terms(terms, radix) for terms in term_maps],
+        [radix.pack(t) for t in full_targets],
+    )
+    readouts = list(zip(probes, coeffs))
+    return _interpret(inst.objective, readouts, stats_for("packed-dense"))
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +669,6 @@ def solve_cover(
         for r in radices:
             domain *= r
         target = _target_exponents(system, [])
-        weight_cap = maxima[6] if cost_axis else 0
-        probes = list(range(weight_cap + 1)) if cost_axis else [0]
         stats = SolveStats(
             space=space,
             engine="polyspace",
@@ -631,7 +680,7 @@ def solve_cover(
             radices=radices,
         )
         if not all(entry_lists) or not all(t < r for t, r in zip(target, radices[:6])):
-            return _interpret(inst.objective, [(w, 0) for w in probes], stats)
+            return _interpret(inst.objective, [], stats)
         radix = RadixVector(variables, radices)
         oracles = []
         for factor_sets in per_provider_factors:
@@ -659,6 +708,7 @@ def solve_cover(
                     degree_bound=degree, mass=mass, packed_factors=tuple(pairs)
                 )
             )
+        probes = list(range(maxima[6] + 1)) if cost_axis else [0]
         full_targets = [target + (w,) for w in probes] if cost_axis else [target]
         coeffs = extract_coefficients_polyspace(
             oracles, [radix.pack(t) for t in full_targets], domain

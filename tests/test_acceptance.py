@@ -224,6 +224,30 @@ def test_engine_modes_agree_with_brute_force(rng):
     )
 
 
+def test_every_objective_under_a_tight_budget(rng):
+    """budget_cells=1 forces the sparse fold, (min,+) for min-weight:
+    answers still equal exhaustive search, plain and under a planted system."""
+    feasible = dict.fromkeys(("decision", "count", "min-weight"), 0)
+    for i in range(60):
+        objective = ("decision", "count", "min-weight")[i % 3]
+        max_w = 10**9 if objective == "min-weight" else 6
+        inst = _random_partition_instance(
+            rng, rng.randint(2, 7), rng.randint(1, 3), objective, max_w=max_w
+        )
+        want = _expected_fields(inst)
+        answer = solve_simple(inst, budget_cells=1)
+        assert answer.stats.engine in ("sparse-fold", "empty")
+        assert _answer_fields(inst, answer) == want
+        patched, system = _plant_pair_system(rng, inst)
+        want = _expected_fields(patched)
+        answer = solve_with_infants(patched, system, budget_cells=1)
+        assert answer.stats.engine in ("sparse-fold", "empty")
+        assert _answer_fields(patched, answer) == want
+        feasible[objective] += want[0]
+    assert min(feasible.values()) >= 3
+    print(f"PASS: tight-budget solves match exhaustive search; feasible {feasible}")
+
+
 # ---------------------------------------------------------------------------
 # guarantee 3: the four grid invariants identify binary matrices uniquely
 
@@ -391,6 +415,37 @@ def test_cover_solver_matches_subset_closure(rng):
         if n <= 6:
             assert _answer_fields(inst, solve_cover(inst, space="polyspace")) == want
     print("PASS: cover solves equal exhaustive search over 50 subset closures")
+
+
+def _subset_closure(inst):
+    """Partition instance whose families hold every subset of each set."""
+    closure = []
+    for prov in inst.providers:
+        sets, weights = [], []
+        for members, w in prov.entries():
+            ordered = sorted(members)
+            for pick in range(1 << len(ordered)):
+                sets.append(frozenset(e for j, e in enumerate(ordered) if pick >> j & 1))
+                weights.append(w)
+        closure.append(FamilyProvider.explicit(prov.label, sets, weights))
+    return PartitionInstance(inst.n, inst.k, tuple(closure), inst.objective, "partition")
+
+
+def test_cover_min_weight_under_a_tight_budget(rng):
+    feasible = 0
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        inst = _random_partition_instance(
+            rng, n, rng.randint(1, 3), "min-weight", max_sets=4, max_w=10**9
+        )
+        inst = PartitionInstance(n, inst.k, inst.providers, "min-weight", "cover")
+        want = _expected_fields(_subset_closure(inst))
+        answer = solve_cover(inst, budget_cells=1)
+        assert answer.stats.engine in ("sparse-fold", "empty")
+        assert _answer_fields(inst, answer) == want
+        feasible += want[0]
+    assert feasible >= 3
+    print(f"PASS: tight-budget cover min-weight matches {feasible} feasible closures")
 
 
 # ---------------------------------------------------------------------------

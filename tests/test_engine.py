@@ -23,6 +23,7 @@ from setpart.engine import (
     solve_with_infants,
     system_from_json,
     validate_infant_system,
+    _fold_sparse,
 )
 from setpart.oracle import brute_partition
 from setpart.polyring import _GATHER_TERMS, multiply
@@ -418,6 +419,75 @@ def test_dense_min_weight_probes_across_the_gather_limit(data):
     answer = solve_simple(inst, "dense")
     assert answer.stats.engine in ("packed-dense", "empty")
     assert answer.min_weight == (feasible[0] if feasible else None)
+
+
+def _reference_fold(term_maps, limits):
+    """Tuple-keyed product of sparse term maps, pruned past ``limits``."""
+    acc = {(0,) * len(limits): 1}
+    for terms in term_maps:
+        nxt = {}
+        for ea, ca in acc.items():
+            for eb, cb in terms.items():
+                combined = tuple(x + y for x, y in zip(ea, eb))
+                if any(c > lim for c, lim in zip(combined, limits)):
+                    continue
+                nxt[combined] = nxt.get(combined, 0) + ca * cb
+        acc = nxt
+    return acc
+
+
+@st.composite
+def _fold_cases(draw, costed):
+    """Targets with limits 0, 2^b - 1, 2^b and others; terms that hit
+    them, halve them or pass them on their own; an optional cost last."""
+    bits = st.integers(1, 6)
+    limit = st.one_of(
+        st.just(0),
+        bits.map(lambda b: (1 << b) - 1),
+        bits.map(lambda b: 1 << b),
+        st.integers(0, 40),
+    )
+    target = tuple(draw(st.lists(limit, min_size=1, max_size=4)))
+    coordinates = [
+        st.one_of(st.sampled_from([0, t // 2, t - t // 2, t]), st.integers(0, t + 2))
+        for t in target
+    ]
+    if costed:
+        coordinates.append(st.integers(0, 1 << 40))
+    term_map = st.dictionaries(
+        st.tuples(*coordinates), st.integers(1, 1 << 40), max_size=6
+    )
+    return draw(st.lists(term_map, min_size=1, max_size=4)), target
+
+
+def _fold_targets(term_maps, target):
+    """The drawn target, plus one the product surely reaches: the sum of
+    each factor's first term (when no factor is empty)."""
+    if not all(term_maps):
+        return [target]
+    firsts = [next(iter(terms))[: len(target)] for terms in term_maps]
+    return [target, tuple(map(sum, zip(*firsts)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_fold_cases(costed=False))
+def test_fold_counts_equal_the_tuple_keyed_fold(case):
+    term_maps, drawn = case
+    for target in _fold_targets(term_maps, drawn):
+        reference = _reference_fold(term_maps, target)
+        assert _fold_sparse(term_maps, target, False) == reference.get(target, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_fold_cases(costed=True))
+def test_fold_min_plus_equals_the_tuple_keyed_fold(case):
+    """(min,+): the least cost among the reference's nonzero keys at the target."""
+    term_maps, drawn = case
+    cost_cap = sum(max((e[-1] for e in terms), default=0) for terms in term_maps)
+    for target in _fold_targets(term_maps, drawn):
+        reference = _reference_fold(term_maps, target + (cost_cap,))
+        costs = [e[-1] for e, c in reference.items() if c and e[:-1] == target]
+        assert _fold_sparse(term_maps, target, True) == min(costs, default=None)
 
 
 def test_empty_system_equals_simple(rng):

@@ -376,6 +376,18 @@ def test_tsp_matches_brute(rng):
         assert tsp(g, core_pair=None) == expect
 
 
+def test_tsp_time_does_not_grow_with_weight_magnitude(rng):
+    """Weights up to 10^6 on 9 vertices: the (min,+) fold has no cost axis
+    to sweep, so this runs as fast as small weights do."""
+    expect = None
+    while expect is None:  # redraw until the graph has a tour
+        g = er_graph(9, 0.5, rng, max_weight=10**6)
+        expect = brute_tsp(g)
+    stats = StatsRecorder()
+    assert tsp(g, stats=stats) == expect > 10**6
+    assert stats.engines.get("sparse-fold", 0) > 0
+
+
 def test_tsp_agrees_with_hamcycle_on_unit_weights(rng):
     for _ in range(12):
         n = rng.randint(3, 7)
