@@ -22,11 +22,17 @@ coefficient per weight in the transforms but folds in the (min,+)
 semiring, with no cost axis in the key.  Polyspace mode reads the target
 coefficients like dense mode from evaluation oracles of the factors,
 never transforming or materializing anything of product size.
+
+Partition and cover solves share one core, ``_solve_encoded``.  A cover
+is a partition over the subset closure of each family, so it differs
+only in its factors: expanded sub-masks in dense mode, binomial product
+oracles in polyspace mode.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -115,8 +121,7 @@ class FamilyProvider:
 
     def entries(self) -> list[tuple[frozenset[int], int]]:
         out = []
-        for item in self.enumerate_fn():
-            members, weight = item
+        for members, weight in self.enumerate_fn():
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
                 raise EncodingError(
                     f"provider {self.label}: weight {weight!r} must be a"
@@ -131,9 +136,10 @@ class FamilyProvider:
         if weights is None:
             pairs = [(s, 0) for s in frozen]
         else:
-            pairs = list(zip(frozen, list(weights)))
-            if len(pairs) != len(frozen):
+            weights = list(weights)
+            if len(weights) != len(frozen):
                 raise ValueError("weights must align with sets")
+            pairs = list(zip(frozen, weights))
         return FamilyProvider(label, lambda: list(pairs))
 
 
@@ -181,39 +187,17 @@ class InfantSystem:
 
     @staticmethod
     def empty(n: int) -> "InfantSystem":
-        return InfantSystem(
-            n=n,
-            q=0,
-            families=(),
-            padded=(),
-            loose=frozenset(range(1, n + 1)),
-            rep=MatrixRepresentation(0, 0, {}),
-        )
+        return InfantSystem.build(n, (), 0)
 
     @staticmethod
     def build(n: int, families, q: int) -> "InfantSystem":
         fams = [(frozenset(r), int(infant)) for r, infant in families]
         if not fams:
-            return InfantSystem.empty(n)
-        p = len(fams)
-        if q < 2:
-            raise InfantSystemError("q must be at least 2 when families exist")
-        if p * q > n:
-            raise InfantSystemError(f"p*q = {p * q} exceeds n = {n}")
-        seen: set[int] = set()
-        for idx, (members, infant) in enumerate(fams):
-            if infant not in members:
-                raise InfantSystemError(f"family {idx}: infant {infant} not a member")
-            if len(members) > q:
-                raise InfantSystemError(f"family {idx}: size {len(members)} exceeds q")
-            if not all(1 <= e <= n for e in members):
-                raise InfantSystemError(f"family {idx}: member outside 1..{n}")
-            if seen & members:
-                raise InfantSystemError(
-                    f"family {idx} overlaps an earlier family on {sorted(seen & members)}"
-                )
-            seen |= members
-        pool = iter(sorted(set(range(1, n + 1)) - seen))
+            q = 0  # no families, no grid: every element is loose
+        for problem in _structure_violations(n, q, fams):
+            raise InfantSystemError(problem)
+        seen = set().union(*(members for members, _infant in fams))
+        pool = (e for e in range(1, n + 1) if e not in seen)
         padded = []
         placement: dict[int, tuple[int, int]] = {}
         for i, (members, infant) in enumerate(fams):
@@ -230,8 +214,30 @@ class InfantSystem:
             families=tuple(fams),
             padded=tuple(padded),
             loose=loose,
-            rep=MatrixRepresentation(p, q, placement),
+            rep=MatrixRepresentation(len(fams), q, placement),
         )
+
+
+def _structure_violations(n: int, q: int, families) -> list[str]:
+    """Structural breaks of families over 1..n at width q, in check order."""
+    out = []
+    if families and q < 2:
+        out.append("q must be at least 2 when families exist")
+    if len(families) * q > n:
+        out.append(f"p*q = {len(families) * q} exceeds n = {n}")
+    seen: set[int] = set()
+    for idx, (members, infant) in enumerate(families):
+        if infant not in members:
+            out.append(f"family {idx}: infant {infant} not a member")
+        if len(members) > q:
+            out.append(f"family {idx}: size {len(members)} exceeds q = {q}")
+        if not all(1 <= e <= n for e in members):
+            out.append(f"family {idx}: member outside 1..{n}")
+        overlap = seen & members
+        if overlap:
+            out.append(f"family {idx} overlaps an earlier family on {sorted(overlap)}")
+        seen |= members
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,18 +256,7 @@ def validate_infant_system(inst: PartitionInstance, system: InfantSystem) -> Inf
     out: list[str] = []
     if system.n != inst.n:
         out.append(f"system ground set {system.n} differs from instance {inst.n}")
-    if system.p * system.q > inst.n:
-        out.append(f"p*q = {system.p * system.q} exceeds n = {inst.n}")
-    seen: set[int] = set()
-    for idx, (members, infant) in enumerate(system.families):
-        if infant not in members:
-            out.append(f"family {idx}: infant {infant} not a member")
-        if len(members) > system.q:
-            out.append(f"family {idx}: size exceeds q = {system.q}")
-        overlap = seen & members
-        if overlap:
-            out.append(f"family {idx} overlaps an earlier family on {sorted(overlap)}")
-        seen |= members
+    out += _structure_violations(inst.n, system.q, system.families)
     for provider in inst.providers:
         for members, _w in provider.entries():
             for idx, (relatives, infant) in enumerate(system.families):
@@ -296,18 +291,12 @@ def search_space_size(inst: PartitionInstance, system: InfantSystem) -> SearchSp
         "wt": inst.k * p * q + 1,
         "rsum": inst.k * p * max((1 << q) - 2, 0) + 1,
     }
-    bound = code_axis
-    for v in counters.values():
-        bound *= v
+    bound = math.prod(counters.values(), start=code_axis)
     return SearchSpace(code_axis=code_axis, counters=counters, domain_bound=bound)
 
 
 # ---------------------------------------------------------------------------
 # encoding candidate sets against a system
-
-
-def _loose_index(system: InfantSystem) -> dict[int, int]:
-    return {e: i for i, e in enumerate(sorted(system.loose))}
 
 
 def _encode_set(
@@ -353,12 +342,12 @@ def _encode_set(
     return (card, mask, col0, wt, rsum, code_value)
 
 
-def _target_exponents(system: InfantSystem, base_powers: Sequence[int]) -> tuple[int, ...]:
+def _target_exponents(system: InfantSystem) -> tuple[int, ...]:
     """Exponents of the full-tiling monomial: every cell and loose element once."""
     p, q = system.p, system.q
     loose = len(system.loose)
     full_row = (1 << q) - 3 if p else 0  # signed code of an all-ones row
-    code_value = sum(full_row * base_powers[i] for i in range(p))
+    code_value = sum(full_row * ((1 << q) - 1) ** i for i in range(p))
     return (loose, (1 << loose) - 1, p, p * q, p * full_row, code_value)
 
 
@@ -372,7 +361,7 @@ def build_infant_encoding(
     """
     cost_axis = inst.objective == "min-weight"
     variables = VARIABLES + ("cost",) if cost_axis else VARIABLES
-    loose_pos = _loose_index(system)
+    loose_pos = {e: i for i, e in enumerate(sorted(system.loose))}
     base = (1 << system.q) - 1
     base_powers = [base**i for i in range(system.p)]
     polys = []
@@ -482,21 +471,48 @@ def _fold_sparse(
     return sum(c * last.get(goal - e, 0) for e, c in acc.items())
 
 
-def _interpret(
-    objective: str,
-    coefficient_by_weight: Sequence[tuple[int, int]],
-    stats: SolveStats,
-) -> SolveAnswer:
-    """Fold (weight, coefficient) readouts into the requested answer shape."""
+def _answer(objective: str, value: int | None, stats: SolveStats) -> SolveAnswer:
+    """Shape one readout (a count, or a least weight or None) as the answer."""
     if objective == "min-weight":
-        for w, coeff in coefficient_by_weight:
-            if coeff:
-                return SolveAnswer(True, None, w, stats)
-        return SolveAnswer(False, None, None, stats)
-    total = sum(c for _w, c in coefficient_by_weight)
-    if objective == "count":
-        return SolveAnswer(total > 0, total, None, stats)
-    return SolveAnswer(total > 0, None, None, stats)
+        return SolveAnswer(value is not None, None, value, stats)
+    return SolveAnswer(value > 0, value if objective == "count" else None, None, stats)
+
+
+def _terms_oracle(
+    terms: dict[tuple[int, ...], int], radix: RadixVector
+) -> EvaluationOracle:
+    """Evaluation oracle over a factor's explicit terms."""
+    indices, coeffs = pack_terms(terms, radix)
+    return EvaluationOracle(
+        degree_bound=int(indices.max()),
+        mass=sum(coeffs.tolist()),
+        packed_terms=tuple(sorted(zip(indices.tolist(), coeffs.tolist()))),
+    )
+
+
+def _closure_oracle(
+    terms: dict[tuple[int, ...], int], radix: RadixVector
+) -> EvaluationOracle:
+    """Evaluation oracle over the subset closure of a factor's loose terms.
+
+    A term (card, mask, ..., cost) stands for u^cost * prod(1 + u^(card+bit))
+    over the bits of its mask, repeated once per unit of multiplicity, so
+    the closure is never expanded.
+    """
+    strides = radix.strides
+    sets = []
+    degree = mass = 0
+    for exps, multiplicity in terms.items():
+        base = radix.pack((0,) * 6 + exps[6:])
+        bits = tuple(
+            strides[0] + (1 << b) * strides[1]
+            for b in range(exps[1].bit_length())
+            if exps[1] >> b & 1
+        )
+        sets += [(base, bits)] * multiplicity
+        degree = max(degree, base + sum(bits))
+        mass += multiplicity << len(bits)
+    return EvaluationOracle(degree_bound=degree, mass=mass, packed_factors=tuple(sets))
 
 
 def _solve_encoded(
@@ -505,82 +521,67 @@ def _solve_encoded(
     term_maps: list[dict[tuple[int, ...], int]],
     space: str,
     budget_cells: int,
+    oracle_for: Callable[[dict, RadixVector], EvaluationOracle] = _terms_oracle,
 ) -> SolveAnswer:
+    """The one solve core: radices and domain, stats, engine choice, readout.
+
+    ``oracle_for`` turns one factor's term map into its polyspace oracle;
+    the radices come from the term maps themselves, so an oracle may stand
+    for more terms than its map holds as long as their maxima agree.
+    """
     if space not in ("dense", "polyspace"):
         raise ValueError("space must be 'dense' or 'polyspace'")
-    cost_axis = inst.objective == "min-weight"
-    variables = VARIABLES + ("cost",) if cost_axis else VARIABLES
-    arity = len(variables)
-    base = (1 << system.q) - 1
-    base_powers = [base**i for i in range(system.p)]
-    target = _target_exponents(system, base_powers)
+    min_weight = inst.objective == "min-weight"
+    variables = VARIABLES + ("cost",) if min_weight else VARIABLES
+    target = _target_exponents(system)
 
-    maxima = [0] * arity
+    maxima = [0] * len(variables)
     for terms in term_maps:
-        if terms:
-            per = [max(es) for es in zip(*terms)]
-        else:
-            per = [0] * arity
-        for v in range(arity):
-            maxima[v] += per[v]
+        for v, top in enumerate(map(max, zip(*terms))):
+            maxima[v] += top
     radices = tuple(m + 1 for m in maxima)
-    domain = 1
-    for r in radices:
-        domain *= r
-
-    def stats_for(engine: str) -> SolveStats:
-        return SolveStats(
-            space=space,
-            engine=engine,
-            domain=domain,
-            variables=variables,
-            term_counts=tuple(len(t) for t in term_maps),
-            infant_p=system.p,
-            infant_q=system.q,
-            radices=radices,
-        )
+    domain = math.prod(radices)
 
     # a target past some radix has coefficient zero in every mode
-    reachable = all(t < r for t, r in zip(target, radices[:6]))
-    if not all(term_maps) or not reachable:
-        return _interpret(inst.objective, [], stats_for("empty"))
-
-    if space == "dense" and domain > budget_cells:
-        found = _fold_sparse(term_maps, target, cost_axis)
-        if not cost_axis:
-            readouts = [(0, found)]
-        else:
-            readouts = [] if found is None else [(found, 1)]
-        return _interpret(inst.objective, readouts, stats_for("sparse-fold"))
-
-    # the transforms read one coefficient per weight the factors can sum to
-    probes = list(range(maxima[6] + 1)) if cost_axis else [0]
-    radix = RadixVector(variables, radices)
-    full_targets = [target + (w,) for w in probes] if cost_axis else [target]
-
-    if space == "polyspace":
-        oracles = []
-        for terms in term_maps:
-            indices, coeffs = pack_terms(terms, radix)
-            oracles.append(
-                EvaluationOracle(
-                    degree_bound=int(indices.max()),
-                    mass=sum(coeffs.tolist()),
-                    packed_terms=tuple(sorted(zip(indices.tolist(), coeffs.tolist()))),
-                )
-            )
-        coeffs = extract_coefficients_polyspace(
-            oracles, [radix.pack(t) for t in full_targets], domain
-        )
-        readouts = list(zip(probes, coeffs))
-        return _interpret(inst.objective, readouts, stats_for("polyspace"))
-
-    coeffs = product_coefficients(
-        [pack_terms(terms, radix) for terms in term_maps],
-        [radix.pack(t) for t in full_targets],
+    if not all(term_maps) or not all(t < r for t, r in zip(target, radices)):
+        engine = "empty"
+    elif space == "polyspace":
+        engine = "polyspace"
+    elif domain > budget_cells:
+        engine = "sparse-fold"
+    else:
+        engine = "packed-dense"
+    stats = SolveStats(
+        space=space,
+        engine=engine,
+        domain=domain,
+        variables=variables,
+        term_counts=tuple(len(t) for t in term_maps),
+        infant_p=system.p,
+        infant_q=system.q,
+        radices=radices,
     )
-    readouts = list(zip(probes, coeffs))
-    return _interpret(inst.objective, readouts, stats_for("packed-dense"))
+
+    if engine == "empty":
+        value = None if min_weight else 0
+    elif engine == "sparse-fold":
+        value = _fold_sparse(term_maps, target, min_weight)
+    else:
+        # the transforms read one coefficient per weight the factors can sum
+        # to; min-weight is the least weight whose coefficient is nonzero
+        probes = range(maxima[6] + 1) if min_weight else [0]
+        radix = RadixVector(variables, radices)
+        targets = [radix.pack(target + (w,) if min_weight else target) for w in probes]
+        if engine == "polyspace":
+            oracles = [oracle_for(terms, radix) for terms in term_maps]
+            coeffs = extract_coefficients_polyspace(oracles, targets, domain)
+        else:
+            factors = [pack_terms(terms, radix) for terms in term_maps]
+            coeffs = product_coefficients(factors, targets)
+        value = coeffs[0]
+        if min_weight:
+            value = next((w for w, c in zip(probes, coeffs) if c), None)
+    return _answer(inst.objective, value, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -622,140 +623,74 @@ def solve_cover(
 ) -> SolveAnswer:
     """Covering solve: parts may shed elements, so unions may overlap.
 
-    Each candidate set stands in for all of its subsets; dense mode
-    expands those subsets outright (capped at ``expand_limit`` members
-    per set), polyspace mode evaluates the binomial product form without
-    expanding.  Counts weigh each (set, kept-subset) choice separately.
+    A cover is a partition over the subset closure of each family, so it
+    shares the partition solve core and only changes the factors: dense
+    mode expands each set's loose mask into its sub-masks (capped at
+    ``expand_limit`` members per set), polyspace mode evaluates the
+    binomial product form without expanding.  The closure has the same
+    exponent maxima as its sets, so radices and domain do not change.
+    Counts weigh each (set, kept-subset) choice separately.
     """
     if inst.structure != "cover":
         raise ValueError("instance structure must be 'cover'")
     system = InfantSystem.empty(inst.n)
-    cost_axis = inst.objective == "min-weight"
-    variables = VARIABLES + ("cost",) if cost_axis else VARIABLES
-    arity = len(variables)
-    loose_pos = _loose_index(system)
-
-    entry_lists = []
-    for provider in inst.providers:
-        entries = provider.entries()
-        for members, _w in entries:
-            for e in members:
-                if e not in loose_pos:
-                    raise EncodingError(
-                        f"provider {provider.label}: element {e} outside 1..{inst.n}"
-                    )
-        entry_lists.append(entries)
-
+    term_maps = [dict(poly.terms) for poly in build_infant_encoding(inst, system)]
     if space == "polyspace":
-        maxima = [0] * arity
-        per_provider_factors = []
-        for entries in entry_lists:
-            per = [0] * arity
-            factor_sets = []
-            for members, weight in entries:
-                exps = [0] * arity
-                exps[0] = len(members)
-                exps[1] = sum(1 << loose_pos[e] for e in members)
-                if cost_axis:
-                    exps[6] = weight
-                factor_sets.append((members, weight))
-                for v in range(arity):
-                    per[v] = max(per[v], exps[v])
-            per_provider_factors.append(factor_sets)
-            for v in range(arity):
-                maxima[v] += per[v]
-        radices = tuple(m + 1 for m in maxima)
-        domain = 1
-        for r in radices:
-            domain *= r
-        target = _target_exponents(system, [])
-        stats = SolveStats(
-            space=space,
-            engine="polyspace",
-            domain=domain,
-            variables=variables,
-            term_counts=tuple(len(e) for e in entry_lists),
-            infant_p=0,
-            infant_q=0,
-            radices=radices,
+        return _solve_encoded(
+            inst, system, term_maps, space, budget_cells, _closure_oracle
         )
-        if not all(entry_lists) or not all(t < r for t, r in zip(target, radices[:6])):
-            return _interpret(inst.objective, [], stats)
-        radix = RadixVector(variables, radices)
-        oracles = []
-        for factor_sets in per_provider_factors:
-            pairs = []
-            degree = 0
-            mass = 0
-            for members, weight in factor_sets:
-                base_exp = [0] * arity
-                if cost_axis:
-                    base_exp[6] = weight
-                base_packed = radix.pack(tuple(base_exp))
-                element_exps = tuple(
-                    radix.pack(
-                        tuple(
-                            [1, 1 << loose_pos[e]] + [0] * (arity - 2)
-                        )
-                    )
-                    for e in sorted(members)
-                )
-                pairs.append((base_packed, element_exps))
-                degree = max(degree, base_packed + sum(element_exps))
-                mass += 1 << len(element_exps)
-            oracles.append(
-                EvaluationOracle(
-                    degree_bound=degree, mass=mass, packed_factors=tuple(pairs)
-                )
-            )
-        probes = list(range(maxima[6] + 1)) if cost_axis else [0]
-        full_targets = [target + (w,) for w in probes] if cost_axis else [target]
-        coeffs = extract_coefficients_polyspace(
-            oracles, [radix.pack(t) for t in full_targets], domain
-        )
-        return _interpret(inst.objective, list(zip(probes, coeffs)), stats)
-
-    # dense: expand each set into its subset terms
-    term_maps = []
-    for provider, entries in zip(inst.providers, entry_lists):
-        terms: dict[tuple[int, ...], int] = {}
-        for members, weight in entries:
-            if len(members) > expand_limit:
+    closures = []
+    for provider, terms in zip(inst.providers, term_maps):
+        closure: dict[tuple[int, ...], int] = {}
+        for (card, mask, *rest), multiplicity in terms.items():
+            if card > expand_limit:
                 raise EncodingError(
-                    f"provider {provider.label}: set of {len(members)} members"
+                    f"provider {provider.label}: set of {card} members"
                     f" exceeds the dense expansion limit {expand_limit}"
                 )
-            ordered = sorted(members)
-            for pick in range(1 << len(ordered)):
-                kept = [ordered[i] for i in range(len(ordered)) if pick >> i & 1]
-                exps = [0] * arity
-                exps[0] = len(kept)
-                exps[1] = sum(1 << loose_pos[e] for e in kept)
-                if cost_axis:
-                    exps[6] = weight
-                key = tuple(exps)
-                terms[key] = terms.get(key, 0) + 1
-        term_maps.append(terms)
-    return _solve_encoded(inst, system, term_maps, space, budget_cells)
+            sub = mask
+            while True:
+                key = (sub.bit_count(), sub, *rest)
+                closure[key] = closure.get(key, 0) + multiplicity
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+        closures.append(closure)
+    return _solve_encoded(inst, system, closures, space, budget_cells)
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
+def _json_int(value, what: str, error: type[ValueError]) -> int:
+    """A JSON integer as is; floats, bools, strings and null are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _json_set(members, what: str, error: type[ValueError]) -> frozenset[int]:
+    """A JSON array of integers as a set."""
+    if not isinstance(members, list):
+        raise error(f"{what}: each entry needs a set array")
+    return frozenset(_json_int(e, f"{what}: element", error) for e in members)
+
+
 def instance_from_json(data) -> PartitionInstance:
     """Instance from the explicit JSON form.
 
     Expected fields: n, k, families (k arrays of {"set": [...], "weight"?:
-    int}), optional structure and objective strings.
+    int}), optional structure and objective strings.  Numbers must be
+    JSON integers.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise EncodingError("instance JSON must be an object")
     try:
-        n = int(data["n"])
-        k = int(data["k"])
+        n = _json_int(data["n"], "n", EncodingError)
+        k = _json_int(data["k"], "k", EncodingError)
         families = data["families"]
     except KeyError as exc:
         raise EncodingError(f"instance JSON missing field {exc}") from None
@@ -775,10 +710,8 @@ def instance_from_json(data) -> PartitionInstance:
                 weight = item.get("weight", 0)
             else:
                 members, weight = item, 0
-            if not isinstance(members, list):
-                raise EncodingError(f"family {i + 1}: each entry needs a set array")
-            sets.append(frozenset(int(e) for e in members))
-            weights.append(int(weight))
+            sets.append(_json_set(members, f"family {i + 1}", EncodingError))
+            weights.append(_json_int(weight, f"family {i + 1}: weight", EncodingError))
         providers.append(FamilyProvider.explicit(f"family-{i + 1}", sets, weights))
     try:
         return PartitionInstance(n, k, tuple(providers), objective, structure)
@@ -791,14 +724,19 @@ def system_from_json(data, n: int) -> InfantSystem:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     try:
-        q = int(data["q"])
+        q = _json_int(data["q"], "q", InfantSystemError)
         fams = data["families"]
     except (KeyError, TypeError) as exc:
         raise InfantSystemError(f"system JSON missing field: {exc}") from None
+    if not isinstance(fams, list):
+        raise InfantSystemError("system families must be an array")
     pairs = []
     for i, fam in enumerate(fams):
+        what = f"system family {i}"
         try:
-            pairs.append((frozenset(int(e) for e in fam["set"]), int(fam["infant"])))
+            members, infant = fam["set"], fam["infant"]
         except (KeyError, TypeError) as exc:
-            raise InfantSystemError(f"system family {i}: {exc}") from None
+            raise InfantSystemError(f"{what}: {exc}") from None
+        infant = _json_int(infant, f"{what}: infant", InfantSystemError)
+        pairs.append((_json_set(members, what, InfantSystemError), infant))
     return InfantSystem.build(n, pairs, q)

@@ -1,7 +1,9 @@
 """Command-line behavior: answers, stats, exit codes, determinism."""
 
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -237,6 +239,40 @@ def test_misfitting_system_file_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "instance", "--infants", sys_path, inst_path)
     assert code == 1 and out == ""
     assert err.startswith("setpart: provider family-1") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": None, "k": 1, "families": [[[1]]]},
+        {"n": 1, "k": 1, "families": [[{"set": [1], "weight": 1.9}]]},
+        {"n": 1, "k": 1, "families": [[[1.7]]]},
+        {"n": "x", "k": 1, "families": [[[1]]]},
+    ],
+    ids=["null-n", "float-weight", "float-element", "string-n"],
+)
+def test_non_integer_instance_numbers_exit_one(capsys, tmp_path, payload):
+    code, out, err = run_cli(capsys, "solve", "instance", instance_file(tmp_path, payload))
+    assert code == 1 and out == ""
+    assert err.startswith("setpart: ") and "must be an integer" in err
+
+
+def test_readme_instance_and_system_examples_solve(capsys, tmp_path):
+    """The instance and system files documented in README.md parse and solve."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Instance files", 1)[1]
+    instance = section.split("```json", 1)[1].split("```", 1)[0]
+    system = re.search(r'`(\{"q":.*?\})`', section).group(1)
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(instance)
+    sys_path = tmp_path / "system.json"
+    sys_path.write_text(system)
+    plain = run_cli(capsys, "solve", "instance", str(inst_path))
+    assert plain[0] == 0 and plain[1] == "instance 2\n"
+    code, out, _ = run_cli(
+        capsys, "solve", "instance", "--infants", str(sys_path), str(inst_path)
+    )
+    assert code == 0 and out == plain[1]
 
 
 def test_instance_set_budget(capsys, tmp_path):

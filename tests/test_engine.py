@@ -5,7 +5,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setpart.encoding import MatrixRepresentation
+from setpart.encoding import (
+    MatrixRepresentation,
+    characteristic_matrix,
+    code,
+    colweight,
+    is_row_normalized,
+    rowsum,
+    weight,
+)
 from setpart.engine import (
     COVER_EXPAND_LIMIT,
     VARIABLES,
@@ -78,6 +86,14 @@ def test_provider_repeats_accumulate():
     answer = solve_simple(inst)
     # {1}+{2} twice from the repeated yield, {2}+{1} once
     assert answer.count == 3
+
+
+def test_explicit_provider_rejects_misaligned_weights():
+    with pytest.raises(ValueError, match="align"):
+        FamilyProvider.explicit("x", [{1}], [3, 4, 5])
+    with pytest.raises(ValueError, match="align"):
+        FamilyProvider.explicit("x", [{1}, {2}], [3])
+    assert FamilyProvider.explicit("x", [{1}], [3]).entries() == [(frozenset({1}), 3)]
 
 
 def test_instance_validation():
@@ -230,6 +246,51 @@ def test_encoding_rejects_out_of_range_elements():
     inst = plain(3, 1, [{1, 7}])
     with pytest.raises(EncodingError, match="outside 1..3"):
         build_infant_encoding(inst, InfantSystem.empty(3))
+
+
+def _random_system(rng, n):
+    """A valid family system over 1..n, or the empty one when none fits."""
+    q = rng.randint(2, 3)
+    if n < q:
+        return InfantSystem.empty(n)
+    pool = list(range(1, n + 1))
+    rng.shuffle(pool)
+    families = []
+    for _ in range(rng.randint(1, n // q)):
+        members = [pool.pop() for _ in range(rng.randint(1, q))]
+        families.append((set(members), rng.choice(members)))
+    return InfantSystem.build(n, families, q)
+
+
+def test_encoding_equals_the_matrix_invariants(rng):
+    systems = 0
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        system = _random_system(rng, n)
+        systems += system.p > 0
+        loose = sorted(system.loose)
+        families = []
+        for _ in range(rng.randint(1, 3)):
+            sets, size = [], rng.randint(1, 8)
+            while len(sets) < size:
+                s = frozenset(e for e in range(1, n + 1) if rng.random() < 0.5)
+                if is_row_normalized(characteristic_matrix(system.rep, s)):
+                    sets.append(s)
+            families.append((sets, [rng.randint(0, 5) for _ in sets]))
+        for objective in ("count", "min-weight"):
+            inst = explicit_instance(n, len(families), families, objective)
+            polys = build_infant_encoding(inst, system)
+            for (sets, weights), poly in zip(families, polys):
+                want = {}
+                for s, w in zip(sets, weights):
+                    m = characteristic_matrix(system.rep, s)
+                    mask = sum(1 << loose.index(e) for e in s if e in system.loose)
+                    exps = (len(s & system.loose), mask, colweight(m, 0), weight(m),
+                            rowsum(m), code(m))
+                    exps += (w,) if objective == "min-weight" else ()
+                    want[exps] = want.get(exps, 0) + 1
+                assert dict(poly.terms) == want
+    assert systems >= 30
 
 
 def test_lone_infant_aborts_the_solve():
@@ -571,6 +632,63 @@ def test_cover_equals_partition_over_subset_closure(rng):
         assert (poly.feasible, poly.count) == (feasible, count)
 
 
+def test_cover_repeated_entries_equal_the_closure_in_both_spaces(rng):
+    checked = 0
+    for objective in ("count", "min-weight"):
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            families = []
+            for _ in range(rng.randint(1, 3)):
+                sets, weights = [], []
+                for _ in range(rng.randint(1, 4)):
+                    s = frozenset(e for e in range(1, n + 1) if rng.random() < 0.5)
+                    w = rng.randint(0, 9)
+                    # every entry is repeated, some twice over
+                    for _ in range(rng.randint(2, 3)):
+                        sets.append(s)
+                        weights.append(w)
+                families.append((sets, weights))
+            inst = explicit_instance(n, len(families), families, objective, "cover")
+            closed = []
+            for sets, weights in families:
+                subsets, subset_weights = [], []
+                for s, w in zip(sets, weights):
+                    ordered = sorted(s)
+                    for pick in range(1 << len(ordered)):
+                        subsets.append(
+                            frozenset(e for j, e in enumerate(ordered) if pick >> j & 1)
+                        )
+                        subset_weights.append(w)
+                closed.append((subsets, subset_weights))
+            want = brute_partition(
+                explicit_instance(n, len(families), closed, objective, "partition")
+            )
+            for space in ("dense", "polyspace"):
+                answer = solve_cover(inst, space=space)
+                assert answer.feasible == want[0]
+                if objective == "count":
+                    assert answer.count == want[1]
+                else:
+                    assert answer.min_weight == want[2]
+                # repeats accumulate onto one term, as in partition solves
+                if space == "polyspace" and answer.stats.engine == "polyspace":
+                    keys = [zip(s, w) if objective == "min-weight" else s for s, w in families]
+                    assert answer.stats.term_counts == tuple(len(set(x)) for x in keys)
+            checked += want[0]
+    assert checked >= 6
+
+
+def test_cover_with_empty_provider_reports_the_empty_engine():
+    inst = plain(2, 2, [{1, 2}], [], structure="cover", objective="count")
+    for space in ("dense", "polyspace"):
+        assert solve_cover(inst, space=space).stats.engine == "empty"
+    # a target no set's cardinality can reach is dead in both spaces too
+    thin = plain(3, 1, [{1}, {2}], structure="cover", objective="min-weight")
+    for space in ("dense", "polyspace"):
+        answer = solve_cover(thin, space=space)
+        assert answer.stats.engine == "empty" and answer.min_weight is None
+
+
 def test_partition_feasible_implies_cover_feasible(rng):
     for _ in range(20):
         inst = random_instance(rng, objective="decision")
@@ -663,3 +781,40 @@ def test_system_json_round_trip():
         system_from_json({"q": 2, "families": [{"set": [1, 2]}]}, 4)
     with pytest.raises(InfantSystemError, match="exceeds n"):
         system_from_json({"q": 3, "families": [{"set": [1, 2], "infant": 1}]}, 2)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": None},
+        {"n": "x"},
+        {"n": True},
+        {"k": 1.0},
+        {"families": [[{"set": [1], "weight": 1.9}]]},
+        {"families": [[{"set": [1], "weight": False}]]},
+        {"families": [[[1.7]]]},
+        {"families": [[["1"]]]},
+    ],
+)
+def test_instance_json_numbers_must_be_integers(change):
+    data = {"n": 1, "k": 1, "families": [[[1]]], "objective": "min-weight"}
+    assert solve_simple(instance_from_json(data)).min_weight == 0
+    with pytest.raises(EncodingError, match="must be an integer"):
+        instance_from_json({**data, **change})
+
+
+def test_system_json_numbers_must_be_integers():
+    good = {"q": 2, "families": [{"set": [1, 2], "infant": 1}]}
+    assert system_from_json(good, 4).p == 1
+    for bad in (
+        {"q": 2.0, "families": good["families"]},
+        {"q": 2, "families": [{"set": [1, 2], "infant": 1.5}]},
+        {"q": 2, "families": [{"set": [1, True], "infant": 1}]},
+        {"q": 2, "families": [{"set": ["1", 2], "infant": 1}]},
+    ):
+        with pytest.raises(InfantSystemError, match="must be an integer"):
+            system_from_json(bad, 4)
+    with pytest.raises(InfantSystemError, match="array"):
+        system_from_json({"q": 2, "families": 3}, 4)
+    with pytest.raises(InfantSystemError, match="array"):
+        system_from_json({"q": 2, "families": [{"set": 1, "infant": 1}]}, 4)
