@@ -45,9 +45,8 @@ from .oracle import (
     brute_partition,
     brute_tsp,
 )
-from .polyring import DENSE_BUDGET_CELLS, TransformUnavailableError
+from .polyring import TransformUnavailableError
 from .problems import (
-    DRIVER_BUDGET_CELLS,
     StatsRecorder,
     chromatic_number,
     count_perfect_matchings,
@@ -76,7 +75,7 @@ def build_parser() -> _Parser:
         "--mode",
         choices=("dense", "polyspace"),
         default="dense",
-        help="dense materializes the packed product; polyspace only evaluates",
+        help="dense folds the sparse factors; polyspace only evaluates them",
     )
     common.add_argument(
         "--infants",
@@ -86,13 +85,6 @@ def build_parser() -> _Parser:
         " 'solve instance' only",
     )
     common.add_argument("--seed", type=int, default=None, help="recorded in stats")
-    common.add_argument(
-        "--budget-cells",
-        type=int,
-        default=None,
-        metavar="N",
-        help="dense domain cell budget (default per problem)",
-    )
     common.add_argument(
         "--budget-sets",
         type=int,
@@ -167,21 +159,19 @@ def _override_core(args, g: Graph):
 
 
 def _dispatch_solve(args, recorder: StatsRecorder):
-    cells = args.budget_cells
     if args.problem == "instance":
         inst = _load_instance(args)
-        budget = cells if cells is not None else DENSE_BUDGET_CELLS
         if inst.structure == "cover":
             if args.infants not in ("auto", "none"):
                 raise ConfigError("explicit systems do not apply to cover instances")
-            answer = solve_cover(inst, args.mode, budget)
+            answer = solve_cover(inst, args.mode)
         else:
             if args.infants in ("auto", "none"):
                 system = InfantSystem.empty(inst.n)
             else:
                 with open(args.infants, "r", encoding="utf-8") as fh:
                     system = system_from_json(json.load(fh), inst.n)
-            answer = solve_with_infants(inst, system, args.mode, budget)
+            answer = solve_with_infants(inst, system, args.mode)
         recorder.record_answer(answer)
         return _instance_answer(inst, answer)
 
@@ -189,20 +179,19 @@ def _dispatch_solve(args, recorder: StatsRecorder):
         raise ConfigError("graph drivers accept only --infants auto|none")
     g = read_graph_file(args.path)
     use_infants = args.infants == "auto"
-    budget = cells if cells is not None else DRIVER_BUDGET_CELLS
     if args.problem == "chromatic":
         return chromatic_number(
-            g, args.mode, budget, recorder, core="auto" if use_infants else None
+            g, args.mode, recorder, core="auto" if use_infants else None
         )
     if args.problem == "domatic":
         if args.k is None:
             raise ConfigError("domatic requires --k")
         _require_positive("--k", args.k)
-        return domatic_decision(g, args.k, args.mode, budget, recorder, use_infants)
+        return domatic_decision(g, args.k, args.mode, recorder, use_infants)
     if args.problem == "hamcycle":
-        return hamiltonian_cycle(g, args.mode, budget, recorder, use_infants)
+        return hamiltonian_cycle(g, args.mode, recorder, use_infants)
     core = _override_core(args, g) if use_infants else None
-    return tsp(g, args.mode, budget, recorder, core_pair=core)
+    return tsp(g, args.mode, recorder, core_pair=core)
 
 
 def _dispatch_oracle(args):
@@ -247,18 +236,12 @@ def main(argv=None) -> int:
 
     recorder = StatsRecorder()
     try:
-        _require_positive("--budget-cells", args.budget_cells)
         _require_positive("--budget-sets", args.budget_sets)
         if args.command == "oracle":
             answer = _dispatch_oracle(args)
         elif args.command == "count":
             g = read_graph_file(args.path)
-            budget = (
-                args.budget_cells
-                if args.budget_cells is not None
-                else DRIVER_BUDGET_CELLS
-            )
-            answer = count_perfect_matchings(g, args.mode, budget, recorder)
+            answer = count_perfect_matchings(g, args.mode, recorder)
         else:
             answer = _dispatch_solve(args, recorder)
     except ConfigError as exc:
@@ -287,7 +270,6 @@ def main(argv=None) -> int:
         "mode": args.mode,
         "infants": args.infants,
         "seed": args.seed,
-        "budget_cells": args.budget_cells,
         "recorder": recorder.to_dict(),
     }
     if args.json:

@@ -12,15 +12,12 @@ relative from R_i, which lets the grid invariants of
 :mod:`setpart.encoding` replace the full subset axis over those elements
 and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
 
-Dense mode either reads only the target coefficients of the product of
-the packed factors in one blocked pass over the roots of unity (under a
-cell budget; factors of a few terms are evaluated by gathers, heavier
-ones transformed once), or folds the sparse factors above it: each
-exponent vector is one int of bit fields, and a guard bit per field
-prunes every partial product past the target.  Min-weight reads one
-coefficient per weight in the transforms but folds in the (min,+)
-semiring, with no cost axis in the key.  Polyspace mode reads the target
-coefficients like dense mode from evaluation oracles of the factors,
+Dense mode folds the sparse factors: each exponent vector is one int of
+bit fields, a guard bit per field prunes every partial product past the
+target, and only the target's value is read.  Min-weight folds in the
+(min,+) semiring, with no cost axis in the key.  Polyspace mode reads
+the target coefficient (one per weight for min-weight) from evaluation
+oracles of the factors, in one blocked pass over the roots of unity,
 never transforming or materializing anything of product size.
 
 Partition and cover solves share one core, ``_solve_encoded``.  A cover
@@ -38,13 +35,11 @@ from typing import Callable, Iterable, Sequence
 
 from .encoding import MatrixRepresentation, RadixVector
 from .polyring import (
-    DENSE_BUDGET_CELLS,
     EvaluationOracle,
     ExactPolynomial,
     extract_coefficients_polyspace,
     multiply_packed_dense,  # noqa: F401  (bench/tracer.py wraps this binding)
     pack_terms,
-    product_coefficients,
 )
 
 __all__ = [
@@ -77,7 +72,7 @@ VARIABLES = ("card", "mask", "col0", "wt", "rsum", "code")
 
 
 class EncodingError(ValueError):
-    """An instance or provider entry cannot be encoded (bad element, budget)."""
+    """An instance or provider entry cannot be encoded (bad element, oversized set)."""
 
 
 class InfantSystemError(ValueError):
@@ -520,7 +515,6 @@ def _solve_encoded(
     system: InfantSystem,
     term_maps: list[dict[tuple[int, ...], int]],
     space: str,
-    budget_cells: int,
     oracle_for: Callable[[dict, RadixVector], EvaluationOracle] = _terms_oracle,
 ) -> SolveAnswer:
     """The one solve core: radices and domain, stats, engine choice, readout.
@@ -547,10 +541,8 @@ def _solve_encoded(
         engine = "empty"
     elif space == "polyspace":
         engine = "polyspace"
-    elif domain > budget_cells:
-        engine = "sparse-fold"
     else:
-        engine = "packed-dense"
+        engine = "sparse-fold"
     stats = SolveStats(
         space=space,
         engine=engine,
@@ -567,17 +559,13 @@ def _solve_encoded(
     elif engine == "sparse-fold":
         value = _fold_sparse(term_maps, target, min_weight)
     else:
-        # the transforms read one coefficient per weight the factors can sum
-        # to; min-weight is the least weight whose coefficient is nonzero
+        # polyspace reads one coefficient per weight the factors can sum to;
+        # min-weight is the least weight whose coefficient is nonzero
         probes = range(maxima[6] + 1) if min_weight else [0]
         radix = RadixVector(variables, radices)
         targets = [radix.pack(target + (w,) if min_weight else target) for w in probes]
-        if engine == "polyspace":
-            oracles = [oracle_for(terms, radix) for terms in term_maps]
-            coeffs = extract_coefficients_polyspace(oracles, targets, domain)
-        else:
-            factors = [pack_terms(terms, radix) for terms in term_maps]
-            coeffs = product_coefficients(factors, targets)
+        oracles = [oracle_for(terms, radix) for terms in term_maps]
+        coeffs = extract_coefficients_polyspace(oracles, targets, domain)
         value = coeffs[0]
         if min_weight:
             value = next((w for w, c in zip(probes, coeffs) if c), None)
@@ -589,10 +577,7 @@ def _solve_encoded(
 
 
 def solve_with_infants(
-    inst: PartitionInstance,
-    system: InfantSystem,
-    space: str = "dense",
-    budget_cells: int = DENSE_BUDGET_CELLS,
+    inst: PartitionInstance, system: InfantSystem, space: str = "dense"
 ) -> SolveAnswer:
     """Partition solve under a family system; equals solve_simple's answer.
 
@@ -603,30 +588,21 @@ def solve_with_infants(
     if inst.structure != "partition":
         raise ValueError("instance structure must be 'partition'")
     term_maps = [dict(poly.terms) for poly in build_infant_encoding(inst, system)]
-    return _solve_encoded(inst, system, term_maps, space, budget_cells)
+    return _solve_encoded(inst, system, term_maps, space)
 
 
-def solve_simple(
-    inst: PartitionInstance,
-    space: str = "dense",
-    budget_cells: int = DENSE_BUDGET_CELLS,
-) -> SolveAnswer:
+def solve_simple(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
     """Partition solve over the plain subset encoding (no family system)."""
-    return solve_with_infants(inst, InfantSystem.empty(inst.n), space, budget_cells)
+    return solve_with_infants(inst, InfantSystem.empty(inst.n), space)
 
 
-def solve_cover(
-    inst: PartitionInstance,
-    space: str = "dense",
-    budget_cells: int = DENSE_BUDGET_CELLS,
-    expand_limit: int = COVER_EXPAND_LIMIT,
-) -> SolveAnswer:
+def solve_cover(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
     """Covering solve: parts may shed elements, so unions may overlap.
 
     A cover is a partition over the subset closure of each family, so it
     shares the partition solve core and only changes the factors: dense
     mode expands each set's loose mask into its sub-masks (capped at
-    ``expand_limit`` members per set), polyspace mode evaluates the
+    ``COVER_EXPAND_LIMIT`` members per set), polyspace mode evaluates the
     binomial product form without expanding.  The closure has the same
     exponent maxima as its sets, so radices and domain do not change.
     Counts weigh each (set, kept-subset) choice separately.
@@ -636,17 +612,15 @@ def solve_cover(
     system = InfantSystem.empty(inst.n)
     term_maps = [dict(poly.terms) for poly in build_infant_encoding(inst, system)]
     if space == "polyspace":
-        return _solve_encoded(
-            inst, system, term_maps, space, budget_cells, _closure_oracle
-        )
+        return _solve_encoded(inst, system, term_maps, space, _closure_oracle)
     closures = []
     for provider, terms in zip(inst.providers, term_maps):
         closure: dict[tuple[int, ...], int] = {}
         for (card, mask, *rest), multiplicity in terms.items():
-            if card > expand_limit:
+            if card > COVER_EXPAND_LIMIT:
                 raise EncodingError(
                     f"provider {provider.label}: set of {card} members"
-                    f" exceeds the dense expansion limit {expand_limit}"
+                    f" exceeds the dense expansion limit {COVER_EXPAND_LIMIT}"
                 )
             sub = mask
             while True:
@@ -656,7 +630,7 @@ def solve_cover(
                     break
                 sub = (sub - 1) & mask
         closures.append(closure)
-    return _solve_encoded(inst, system, closures, space, budget_cells)
+    return _solve_encoded(inst, system, closures, space)
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +645,15 @@ def _json_int(value, what: str, error: type[ValueError]) -> int:
 
 
 def _json_set(members, what: str, error: type[ValueError]) -> frozenset[int]:
-    """A JSON array of integers as a set."""
+    """A JSON array of distinct integers as a set; a repeated element is refused."""
     if not isinstance(members, list):
         raise error(f"{what}: each entry needs a set array")
-    return frozenset(_json_int(e, f"{what}: element", error) for e in members)
+    out: set[int] = set()
+    for e in members:
+        if _json_int(e, f"{what}: element", error) in out:
+            raise error(f"{what}: element {e} appears more than once")
+        out.add(e)
+    return frozenset(out)
 
 
 def instance_from_json(data) -> PartitionInstance:

@@ -10,18 +10,16 @@ Two multiplication strategies coexist:
   plan: its primitive root, its table of root powers and its
   bit-reversal.
 
-  - full products (``multiply_packed_dense``, ``convolve_exact``)
-    transform each factor, multiply pointwise and invert;
-  - a set of target coefficients is read in one blocked evaluate-and-read
-    pass: per block of roots every factor is evaluated, the values are
-    multiplied, and each target's inverse-transform sum is accumulated,
-    so no table of product size is stored.  Factors of a few terms are
-    evaluated by gathers from the power table; in the engine's dense mode
-    (``product_coefficients`` with targets) a heavier factor is
-    transformed once and read in slices, while polyspace
-    (``extract_coefficients_polyspace``, from evaluation oracles) never
-    transforms or expands a factor (Lokshtanov-Nederlof, "Saving space by
-    algebraization", STOC 2010).
+  - full products (``product_coefficients``, ``multiply_packed_dense``,
+    ``convolve_exact``) transform each factor, multiply pointwise and
+    invert;
+  - polyspace (``extract_coefficients_polyspace``, from evaluation
+    oracles) reads a set of target coefficients in one blocked
+    evaluate-and-read pass: per block of roots every factor is evaluated
+    by gathers from the power table, the values are multiplied, and each
+    target's inverse-transform sum is accumulated, so no table of product
+    size is stored and no factor is transformed or expanded
+    (Lokshtanov-Nederlof, "Saving space by algebraization", STOC 2010).
 
 All arithmetic is exact; floats never appear.
 """
@@ -37,7 +35,6 @@ import numpy as np
 from .encoding import RadixVector
 
 __all__ = [
-    "DENSE_BUDGET_CELLS",
     "EvaluationOracle",
     "ExactPolynomial",
     "RadixOverflowError",
@@ -51,8 +48,6 @@ __all__ = [
     "product_coefficients",
 ]
 
-DENSE_BUDGET_CELLS = 1 << 26
-
 _SMALL_PRIME_LIMIT = 1 << 31  # products of two residues stay under 2^62
 _WIDE_PRIME_LIMIT = 1 << 62
 
@@ -60,11 +55,6 @@ _WIDE_PRIME_LIMIT = 1 << 62
 # temporaries stay O(block) whatever the transform size (at most 2^17,
 # which keeps a block's split readout sums below 2^64).
 _BLOCK = 1 << 14
-# Factors with at most this many terms are evaluated by power-table
-# gathers, heavier ones by one transform: per point a transform costs
-# 107-181 ns and one gathered term 3.5-7.3 ns at sizes 2^12-2^19 (2-core
-# x86 box, numpy 2.4), a crossover of 25-42 terms.
-_GATHER_TERMS = 24
 # Entries kept by each plan cache (plans, bit-reversals, prime lists); a
 # plan holds O(size) words, so the caches are bounded rather than growing
 # with the number of distinct sizes.
@@ -469,25 +459,6 @@ def _terms_values(
     return values % pm
 
 
-def _transform(plan: _TransformPlan, factor: PackedFactor) -> np.ndarray:
-    """The factor's values at every power of the plan's root, by one ``_ntt``."""
-    indices, coeffs = factor
-    values = np.zeros(plan.size, dtype=plan.dtype)
-    values[indices] = plan.reduce(coeffs)
-    return _ntt(values, plan.prime, plan.root)
-
-
-def _packed_evaluator(plan: _TransformPlan, factor: PackedFactor) -> _Evaluator:
-    """Gathers for a factor of at most ``_GATHER_TERMS`` terms; slices of its
-    transform, computed once per plan, for a heavier one."""
-    indices, coeffs = factor
-    if len(indices) <= _GATHER_TERMS:
-        terms = list(zip(indices.tolist(), plan.reduce(coeffs).tolist()))
-        return lambda points: _terms_values(plan, points, terms)
-    spectrum = _transform(plan, factor)
-    return lambda points: spectrum[points[0] : points[0] + len(points)]
-
-
 def _product_block(
     evaluators: Sequence[_Evaluator], plan: _TransformPlan, points: np.ndarray
 ) -> np.ndarray:
@@ -521,20 +492,20 @@ def _add_readouts(
 
 
 def _read_coefficients(
-    evaluators_for: Callable[[_TransformPlan], list[_Evaluator]],
+    oracles: Sequence[EvaluationOracle],
     degree: int,
     bound: int,
     targets: Sequence[int],
 ) -> list[int]:
-    """Exact coefficients at nonnegative ``targets`` of a product of the given degree.
+    """Exact coefficients at nonnegative ``targets`` of the oracles' product.
 
-    ``evaluators_for(plan)`` returns one evaluator per factor, and
-    ``bound`` exceeds every coefficient.  The transform size is the
-    smallest power of two above the degree.  For each prime and each block
-    of points the factors are evaluated and multiplied pointwise, and
-    omega^(-k*t) times each value is added into target t's running sum:
-    t's output of the inverse transform, so the product's values are never
-    stored.  Targets past the degree read 0.
+    ``degree`` is the product's degree and ``bound`` exceeds every
+    coefficient.  The transform size is the smallest power of two above
+    the degree.  For each prime and each block of points the factors are
+    evaluated and multiplied pointwise, and omega^(-k*t) times each value
+    is added into target t's running sum: t's output of the inverse
+    transform, so the product's values are never stored.  Targets past
+    the degree read 0.
     """
     inside = sorted({t for t in targets if t <= degree})
     if not bound or not inside:
@@ -544,7 +515,7 @@ def _read_coefficients(
     columns = []
     for prime in primes:
         plan = _plan(size, prime)
-        evaluators = evaluators_for(plan)
+        evaluators = [_oracle_evaluator(plan, o) for o in oracles]
         sums = [0] * len(inside)
         for points in _blocks(size):
             _add_readouts(plan, points, _product_block(evaluators, plan, points), inside, sums)
@@ -558,31 +529,27 @@ def _read_coefficients(
 # products of packed factors
 
 
-def product_coefficients(
-    factors: Sequence[PackedFactor], targets: Sequence[int] | None = None
-) -> list[int]:
-    """Exact coefficients of the product of packed factors.
+def _transform(plan: _TransformPlan, factor: PackedFactor) -> np.ndarray:
+    """The factor's values at every power of the plan's root, by one ``_ntt``."""
+    indices, coeffs = factor
+    values = np.zeros(plan.size, dtype=plan.dtype)
+    values[indices] = plan.reduce(coeffs)
+    return _ntt(values, plan.prime, plan.root)
+
+
+def product_coefficients(factors: Sequence[PackedFactor]) -> list[int]:
+    """Every coefficient of the product of packed factors, from index 0 to its degree.
 
     Each factor (see ``pack_terms``) needs at least one term; primes come
     from a bound on the product's coefficients, and the transform size is
-    the smallest power of two above the product's degree.  Without
-    ``targets`` every factor is transformed, the transforms are multiplied
-    pointwise and one inverse transform per prime returns all
-    coefficients, indices 0 up to the degree.  With them only the
-    coefficient at each target index is read (zero past the degree), in
-    one blocked pass that gathers light factors and transforms only those
-    above ``_GATHER_TERMS`` terms.
+    the smallest power of two above the product's degree.  Every factor
+    is transformed, the transforms are multiplied pointwise and one
+    inverse transform per prime returns all coefficients.
     """
     degree = sum(int(indices.max()) for indices, _coeffs in factors)
     bound = 1  # the product of masses exceeds every coefficient
     for _indices, coeffs in factors:
         bound *= sum(coeffs.tolist())
-    if targets is not None:
-        if any(t < 0 for t in targets):
-            raise ValueError("targets must be nonnegative")
-        return _read_coefficients(
-            lambda plan: [_packed_evaluator(plan, f) for f in factors], degree, bound, targets
-        )
     length = degree + 1
     if bound == 0:
         return [0] * length
@@ -720,9 +687,7 @@ def extract_coefficients_polyspace(
     bound = 1
     for oracle in oracles:
         bound *= oracle.mass
-    return _read_coefficients(
-        lambda plan: [_oracle_evaluator(plan, o) for o in oracles], total_degree, bound, targets
-    )
+    return _read_coefficients(oracles, total_degree, bound, targets)
 
 
 def extract_coefficient_polyspace(

@@ -42,7 +42,6 @@ from .graphcore import (
 )
 __all__ = [
     "ColoringInstance",
-    "DRIVER_BUDGET_CELLS",
     "PreferenceSetup",
     "StatsRecorder",
     "build_coloring_infants",
@@ -57,7 +56,6 @@ __all__ = [
     "tsp",
 ]
 
-DRIVER_BUDGET_CELLS = 1 << 14
 SUBSET_SCAN_LIMIT = 20
 
 
@@ -172,9 +170,7 @@ def decide_coloring_with_preferences(
     inst: ColoringInstance,
     system: InfantSystem | None = None,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
-    validate: bool = True,
 ) -> bool:
     """True iff a proper list coloring exists.
 
@@ -189,13 +185,13 @@ def decide_coloring_with_preferences(
     )
     if system is None or system.p == 0:
         system = InfantSystem.empty(inst.graph.n)
-    elif validate and not validate_infant_system(engine_inst, system).ok:
+    elif not validate_infant_system(engine_inst, system).ok:
         system = InfantSystem.empty(inst.graph.n)
     try:
-        answer = solve_with_infants(engine_inst, system, space, budget_cells)
+        answer = solve_with_infants(engine_inst, system, space)
     except RowNormalizationError:
-        # defensive: an unvalidated system that misfits must not break the solve
-        answer = solve_simple(engine_inst, space, budget_cells)
+        # defensive: a system that misfits must not break the solve
+        answer = solve_simple(engine_inst, space)
     _note_answer(stats, answer)
     return answer.feasible
 
@@ -205,16 +201,13 @@ def decide_list_coloring(
     k: int,
     lists: dict[int, frozenset[int]],
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
 ) -> bool:
     """List colorability with the default preference of each list's minimum."""
     inst = ColoringInstance(
         g, k, dict(lists), {v: min(lists[v]) for v in g.vertices()}
     )
-    return decide_coloring_with_preferences(
-        inst, None, space, budget_cells, stats
-    )
+    return decide_coloring_with_preferences(inst, None, space, stats)
 
 
 @dataclass(frozen=True)
@@ -326,7 +319,6 @@ def k_colorable(
     g: Graph,
     k: int,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
     core: CorePair | str | None = "auto",
 ) -> bool:
@@ -351,7 +343,7 @@ def k_colorable(
         keep = [v for v in g.vertices() if g.degree(v) >= k]
         sub, _back = induced_subgraph(g, keep)
         # vertices below degree k always find a vacant color afterwards
-        return k_colorable(sub, k, space, budget_cells, stats, core)
+        return k_colorable(sub, k, space, stats, core)
     core_pair: CorePair | None
     if core == "auto":
         core_pair = _chromatic_core(g, k)
@@ -363,18 +355,14 @@ def k_colorable(
         full = frozenset(range(1, k + 1))
         lists = {v: full for v in g.vertices()}
         inst = ColoringInstance(g, k, lists, {v: 1 for v in g.vertices()})
-        return decide_coloring_with_preferences(
-            inst, None, space, budget_cells, stats
-        )
+        return decide_coloring_with_preferences(inst, None, space, stats)
     kernel = sorted(core_pair.Y)
     for assignment in itertools.product(range(1, k + 1), repeat=len(kernel)):
         _note_guess(stats, "kernel-coloring")
         setup = build_coloring_infants(g, k, dict(zip(kernel, assignment)), core_pair)
         if setup is None:
             continue
-        if decide_coloring_with_preferences(
-            setup.instance, setup.system, space, budget_cells, stats
-        ):
+        if decide_coloring_with_preferences(setup.instance, setup.system, space, stats):
             return True
     return False
 
@@ -382,14 +370,13 @@ def k_colorable(
 def chromatic_number(
     g: Graph,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
     core: CorePair | str | None = "auto",
 ) -> int:
     if g.n == 0:
         return 0
     for k in range(1, g.n + 1):
-        if k_colorable(g, k, space, budget_cells, stats, core):
+        if k_colorable(g, k, space, stats, core):
             return k
     return g.n
 
@@ -398,10 +385,9 @@ def find_coloring(
     g: Graph,
     k: int,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
 ) -> dict[int, int] | None:
     """A proper k-coloring, or None; certificate by list self-reduction."""
-    if not k_colorable(g, k, space, budget_cells):
+    if not k_colorable(g, k, space):
         return None
     if g.n == 0:
         return {}
@@ -411,7 +397,7 @@ def find_coloring(
     if Fraction(k) >= 2 * d and k < g.n:
         keep = [v for v in g.vertices() if g.degree(v) >= k]
         sub, back = induced_subgraph(g, keep)
-        inner = find_coloring(sub, k, space, budget_cells)
+        inner = find_coloring(sub, k, space)
         colors = {back[w]: c for w, c in inner.items()}
         for v in g.vertices():
             if v not in colors:
@@ -423,7 +409,7 @@ def find_coloring(
         for c in sorted(lists[v]):
             trial = dict(lists)
             trial[v] = frozenset({c})
-            if decide_list_coloring(g, k, trial, space, budget_cells):
+            if decide_list_coloring(g, k, trial, space):
                 lists = trial
                 break
         else:
@@ -485,7 +471,6 @@ def domatic_decision(
     g: Graph,
     k: int,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
     infants: bool = True,
 ) -> bool:
@@ -504,7 +489,7 @@ def domatic_decision(
     provider = FamilyProvider.explicit("dominating", sets)
     inst = PartitionInstance(g.n, k, (provider,) * k, "decision", "partition")
     system = _domatic_system(g) if infants else InfantSystem.empty(g.n)
-    answer = solve_with_infants(inst, system, space, budget_cells)
+    answer = solve_with_infants(inst, system, space)
     _note_answer(stats, answer)
     return answer.feasible
 
@@ -614,7 +599,6 @@ def _hamcycle_system(g: Graph, sizes: list[int]) -> InfantSystem:
 def hamiltonian_cycle(
     g: Graph,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
     infants: bool = True,
 ) -> bool:
@@ -645,9 +629,9 @@ def hamiltonian_cycle(
         )
         inst = PartitionInstance(g.n, 3, providers, "decision", "partition")
         try:
-            answer = solve_with_infants(inst, system, space, budget_cells)
+            answer = solve_with_infants(inst, system, space)
         except RowNormalizationError:
-            answer = solve_simple(inst, space, budget_cells)
+            answer = solve_simple(inst, space)
         _note_answer(stats, answer)
         if answer.feasible:
             return True
@@ -669,7 +653,6 @@ def _tsp_core(g: Graph) -> CorePair | None:
 def tsp(
     g: Graph,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
     core_pair: CorePair | str | None = "auto",
 ) -> int | None:
@@ -729,7 +712,7 @@ def tsp(
                 )
                 system = _tour_system(g, pivots, sizes, core, chosen)
                 try:
-                    answer = solve_with_infants(inst, system, space, budget_cells)
+                    answer = solve_with_infants(inst, system, space)
                 except RowNormalizationError:
                     continue
                 _note_answer(stats, answer)
@@ -853,7 +836,6 @@ def _label_consistent_cycles(
 def count_perfect_matchings(
     g: Graph,
     space: str = "dense",
-    budget_cells: int = DRIVER_BUDGET_CELLS,
     stats: StatsRecorder | None = None,
 ) -> int:
     """Exact number of perfect matchings.
@@ -885,7 +867,7 @@ def count_perfect_matchings(
         for k in range(1, m // 2 + 1):
             provider = FamilyProvider.explicit("cycles", cycles)
             inst = PartitionInstance(m, k, (provider,) * k, "count", "partition")
-            answer = solve_simple(inst, space, budget_cells)
+            answer = solve_simple(inst, space)
             _note_answer(stats, answer)
             ordered = answer.count or 0
             branch += ordered // math.factorial(k)

@@ -225,8 +225,8 @@ def test_engine_modes_agree_with_brute_force(rng):
 
 
 def test_every_objective_under_a_tight_budget(rng):
-    """budget_cells=1 forces the sparse fold, (min,+) for min-weight:
-    answers still equal exhaustive search, plain and under a planted system."""
+    """Dense solves fold, (min,+) for min-weight, with weights up to 10^9:
+    answers equal exhaustive search, plain and under a planted system."""
     feasible = dict.fromkeys(("decision", "count", "min-weight"), 0)
     for i in range(60):
         objective = ("decision", "count", "min-weight")[i % 3]
@@ -235,17 +235,17 @@ def test_every_objective_under_a_tight_budget(rng):
             rng, rng.randint(2, 7), rng.randint(1, 3), objective, max_w=max_w
         )
         want = _expected_fields(inst)
-        answer = solve_simple(inst, budget_cells=1)
+        answer = solve_simple(inst)
         assert answer.stats.engine in ("sparse-fold", "empty")
         assert _answer_fields(inst, answer) == want
         patched, system = _plant_pair_system(rng, inst)
         want = _expected_fields(patched)
-        answer = solve_with_infants(patched, system, budget_cells=1)
+        answer = solve_with_infants(patched, system)
         assert answer.stats.engine in ("sparse-fold", "empty")
         assert _answer_fields(patched, answer) == want
         feasible[objective] += want[0]
     assert min(feasible.values()) >= 3
-    print(f"PASS: tight-budget solves match exhaustive search; feasible {feasible}")
+    print(f"PASS: folded solves match exhaustive search; feasible {feasible}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +440,12 @@ def test_cover_min_weight_under_a_tight_budget(rng):
         )
         inst = PartitionInstance(n, inst.k, inst.providers, "min-weight", "cover")
         want = _expected_fields(_subset_closure(inst))
-        answer = solve_cover(inst, budget_cells=1)
+        answer = solve_cover(inst)
         assert answer.stats.engine in ("sparse-fold", "empty")
         assert _answer_fields(inst, answer) == want
         feasible += want[0]
     assert feasible >= 3
-    print(f"PASS: tight-budget cover min-weight matches {feasible} feasible closures")
+    print(f"PASS: folded cover min-weight matches {feasible} feasible closures")
 
 
 # ---------------------------------------------------------------------------

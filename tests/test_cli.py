@@ -132,12 +132,10 @@ def test_infants_flag_never_changes_answers(capsys, write_graph, rng):
 
 def test_seed_and_budget_are_echoed(capsys, write_graph):
     path = write_graph(cycle_graph(4))
-    code, _, err = run_cli(
-        capsys, "solve", "chromatic", "--seed", "7", "--budget-cells", "4096", path
-    )
+    code, _, err = run_cli(capsys, "solve", "chromatic", "--seed", "7", path)
     assert code == 0
     stats = json.loads(err)
-    assert stats["seed"] == 7 and stats["budget_cells"] == 4096
+    assert stats["seed"] == 7 and "budget_cells" not in stats
 
 
 def test_runs_are_deterministic(capsys, write_graph):
@@ -257,6 +255,20 @@ def test_non_integer_instance_numbers_exit_one(capsys, tmp_path, payload):
     assert err.startswith("setpart: ") and "must be an integer" in err
 
 
+def test_repeated_set_elements_exit_one(capsys, tmp_path):
+    inst = {"n": 2, "k": 1, "objective": "count", "families": [[[1, 1, 2], [2, 1]]]}
+    code, out, err = run_cli(capsys, "solve", "instance", instance_file(tmp_path, inst))
+    assert code == 1 and out == ""
+    assert err.startswith("setpart: ") and "element 1 appears more than once" in err
+    inst["families"] = [[[1, 2], [2, 1]]]
+    path = instance_file(tmp_path, inst)
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"q": 2, "families": [{"set": [1, 2, 2], "infant": 1}]}))
+    code, out, err = run_cli(capsys, "solve", "instance", "--infants", str(system), path)
+    assert code == 1 and out == ""
+    assert err.startswith("setpart: ") and "element 2 appears more than once" in err
+
+
 def test_readme_instance_and_system_examples_solve(capsys, tmp_path):
     """The instance and system files documented in README.md parse and solve."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -292,7 +304,8 @@ def test_bad_flags_exit_one(capsys, write_graph):
     path = write_graph(cycle_graph(4))
     assert run_cli(capsys, "solve", "sudoku", path)[0] == 1
     assert run_cli(capsys, "solve", "chromatic", "--mode", "warp", path)[0] == 1
-    assert run_cli(capsys, "solve", "chromatic", "--budget-cells", "0", path)[0] == 1
+    code, _, err = run_cli(capsys, "solve", "chromatic", "--budget-cells", "4096", path)
+    assert code == 1 and "unrecognized arguments: --budget-cells" in err
     assert run_cli(capsys, "solve", "tsp", "--nu", "1.0", path)[0] == 1
     assert run_cli(capsys, "solve", "chromatic", "--infants", "x.json", path)[0] == 1
 

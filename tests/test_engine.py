@@ -34,7 +34,7 @@ from setpart.engine import (
     _fold_sparse,
 )
 from setpart.oracle import brute_partition
-from setpart.polyring import _GATHER_TERMS, multiply
+from setpart.polyring import multiply
 
 
 def explicit_instance(n, k, families, objective="decision", structure="partition"):
@@ -353,8 +353,7 @@ def test_min_weight_exact_value():
 
 def test_engine_selection_in_stats():
     inst = plain(3, 1, [{1, 2, 3}], objective="count")
-    assert solve_simple(inst).stats.engine == "packed-dense"
-    assert solve_simple(inst, budget_cells=1).stats.engine == "sparse-fold"
+    assert solve_simple(inst).stats.engine == "sparse-fold"
     assert solve_simple(inst, space="polyspace").stats.engine == "polyspace"
     hollow = plain(3, 2, [{1, 2, 3}], [], objective="count")
     answer = solve_simple(hollow)
@@ -380,12 +379,14 @@ def test_structure_guards():
 
 
 def test_budget_does_not_change_answers(rng):
+    """No cell budget picks a dense engine: every dense solve folds, and
+    its answers equal the polyspace readout's."""
     for _ in range(15):
         inst = random_instance(rng, objective="count")
-        full = solve_simple(inst)
-        tight = solve_simple(inst, budget_cells=1)
-        assert tight.stats.engine in ("sparse-fold", "empty")
-        assert (tight.feasible, tight.count) == (full.feasible, full.count)
+        dense = solve_simple(inst)
+        poly = solve_simple(inst, space="polyspace")
+        assert dense.stats.engine in ("sparse-fold", "empty")
+        assert (dense.feasible, dense.count) == (poly.feasible, poly.count)
 
 
 # ---------------------------------------------------------------------------
@@ -437,48 +438,35 @@ def _small_instances(draw, objective):
     return explicit_instance(n, k, families, objective)
 
 
+@st.composite
+def _heavy_instances(draw, objective):
+    """One family of 25 to 40 distinct weighted sets, one or two light ones."""
+    n = draw(st.integers(5, 6))
+    entry = st.tuples(st.frozensets(st.integers(1, n)), st.integers(0, 6))
+    heavy = draw(st.lists(entry, min_size=25, max_size=40, unique=True))
+    light = draw(st.lists(st.lists(entry, min_size=1, max_size=6), min_size=1, max_size=2))
+    families = [([s for s, _w in es], [w for _s, w in es]) for es in [heavy, *light]]
+    return explicit_instance(n, len(families), families, objective)
+
+
 @pytest.mark.parametrize("objective", ["count", "min-weight"])
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None, max_examples=90)
 @given(data=st.data())
 def test_dense_readout_equals_sparse_product(objective, data):
-    """Every probe the dense engine reads equals the schoolbook product's coefficient."""
-    inst = data.draw(_small_instances(objective))
+    """The dense fold's answer equals the schoolbook product's coefficient."""
+    inst = data.draw(st.one_of(_small_instances(objective), _heavy_instances(objective)))
     polys = build_infant_encoding(inst, InfantSystem.empty(inst.n))
     product = polys[0]
     for poly in polys[1:]:
         product = multiply(product, poly)
     target = (inst.n, (1 << inst.n) - 1, 0, 0, 0, 0)
     answer = solve_simple(inst, "dense")
-    assert answer.stats.engine in ("packed-dense", "empty")
+    assert answer.stats.engine in ("sparse-fold", "empty")
     if inst.objective == "count":
         assert answer.count == product.coefficient(target)
         return
     weight_cap = sum(max(es[6] for es in poly.terms) for poly in polys)
     feasible = [w for w in range(weight_cap + 1) if product.coefficient(target + (w,))]
-    assert answer.min_weight == (feasible[0] if feasible else None)
-
-
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(data=st.data())
-def test_dense_min_weight_probes_across_the_gather_limit(data):
-    """One family above _GATHER_TERMS terms, the others below: every probe
-    the dense engine reads equals the schoolbook product's coefficient."""
-    n = data.draw(st.integers(5, 6))
-    entry = st.tuples(st.frozensets(st.integers(1, n)), st.integers(0, 6))
-    heavy = data.draw(st.lists(entry, min_size=_GATHER_TERMS + 1, max_size=40, unique=True))
-    light = data.draw(st.lists(st.lists(entry, min_size=1, max_size=6), min_size=1, max_size=2))
-    families = [([s for s, _w in es], [w for _s, w in es]) for es in [heavy, *light]]
-    inst = explicit_instance(n, len(families), families, "min-weight")
-    polys = build_infant_encoding(inst, InfantSystem.empty(n))
-    assert len(polys[0].terms) > _GATHER_TERMS >= max(len(p.terms) for p in polys[1:])
-    product = polys[0]
-    for poly in polys[1:]:
-        product = multiply(product, poly)
-    target = (n, (1 << n) - 1, 0, 0, 0, 0)
-    weight_cap = sum(max(es[6] for es in poly.terms) for poly in polys)
-    feasible = [w for w in range(weight_cap + 1) if product.coefficient(target + (w,))]
-    answer = solve_simple(inst, "dense")
-    assert answer.stats.engine in ("packed-dense", "empty")
     assert answer.min_weight == (feasible[0] if feasible else None)
 
 
@@ -701,11 +689,11 @@ def test_partition_feasible_implies_cover_feasible(rng):
 
 
 def test_cover_expansion_limit():
-    inst = plain(4, 1, [{1, 2, 3, 4}], structure="cover")
-    with pytest.raises(EncodingError, match="expansion limit"):
-        solve_cover(inst, expand_limit=3)
-    assert solve_cover(inst, space="polyspace").feasible
-    assert COVER_EXPAND_LIMIT >= 16
+    assert COVER_EXPAND_LIMIT == 20
+    members = set(range(1, COVER_EXPAND_LIMIT + 2))
+    inst = plain(len(members), 1, [members], structure="cover")
+    with pytest.raises(EncodingError, match="21 members exceeds the dense expansion limit 20"):
+        solve_cover(inst)
 
 
 def test_cover_min_weight():
@@ -768,6 +756,19 @@ def test_instance_json_errors():
         instance_from_json({"n": 2, "k": 1, "families": [[{"weight": 3}]]})
     with pytest.raises(EncodingError, match="structure"):
         instance_from_json({"n": 1, "k": 1, "families": [[]], "structure": "ring"})
+
+
+def test_json_sets_refuse_repeated_elements():
+    data = {"n": 2, "k": 1, "objective": "count", "families": [[[1, 1, 2], [2, 1]]]}
+    with pytest.raises(EncodingError, match="family 1: element 1 appears more than once"):
+        instance_from_json(data)
+    data["families"] = [[[1, 2], [2, 1]]]
+    assert solve_simple(instance_from_json(data)).count == 2
+    system = {"q": 2, "families": [{"set": [1, 2, 2], "infant": 1}]}
+    with pytest.raises(InfantSystemError, match="family 0: element 2 appears more than once"):
+        system_from_json(system, 2)
+    system["families"][0]["set"] = [1, 2]
+    assert system_from_json(system, 2).p == 1
 
 
 def test_system_json_round_trip():

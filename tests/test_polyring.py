@@ -11,7 +11,6 @@ import setpart.polyring
 from setpart.encoding import RadixVector
 from setpart.polyring import (
     _BLOCK,
-    _GATHER_TERMS,
     EvaluationOracle,
     ExactPolynomial,
     RadixOverflowError,
@@ -340,6 +339,8 @@ def test_extract_validation():
         extract_coefficient_polyspace([unit], 0, 0)
     with pytest.raises(ValueError, match="outside domain"):
         extract_coefficient_polyspace([unit], 4, 4)
+    with pytest.raises(ValueError, match="outside domain"):
+        extract_coefficient_polyspace([unit], -1, 4)
     big = EvaluationOracle(degree_bound=9, mass=2, packed_terms=((9, 1), (0, 1)))
     with pytest.raises(ValueError, match="wraps past"):
         extract_coefficient_polyspace([big, big], 0, 16)
@@ -559,29 +560,16 @@ def _sparse_product(factors):
     factor_terms=st.lists(
         st.one_of(_poly_strategy(4, 9), _poly_strategy(3, 1 << 40)), min_size=1, max_size=4
     ),
-    probes=st.lists(st.integers(0, 1 << 12), min_size=1, max_size=6),
 )
-def test_product_coefficients_equal_sparse_product(factor_terms, probes):
+def test_product_coefficients_equal_sparse_product(factor_terms):
     factors = [ExactPolynomial(XY, terms) for terms in factor_terms]
     sums = [sum(f.max_exponents()[i] for f in factors) for i in range(2)]
-    # one spare row on y, so packed indices past the product's degree exist
+    # one spare row on y, so the full product's zero tail is read too
     rv = RadixVector(XY, (sums[0] + 1, sums[1] + 2))
     sparse = _sparse_product(factors)
     packed = [pack_terms(f.terms, rv) for f in factors]
-    domain = rv.domain_size()
-    targets = [t % (2 * domain) for t in probes]
-    expect = [sparse.coefficient(rv.unpack(t)) if t < domain else 0 for t in targets]
-    assert product_coefficients(packed, targets) == expect
     full = product_coefficients(packed)
     assert {rv.unpack(i): c for i, c in enumerate(full) if c} == sparse.terms
-
-
-def _terms_around_gather_limit(light, max_exp, min_coeff, max_coeff):
-    """One-variable term maps with at most, or more than, _GATHER_TERMS terms."""
-    low, high = (1, _GATHER_TERMS) if light else (_GATHER_TERMS + 1, _GATHER_TERMS + 16)
-    return st.dictionaries(
-        st.integers(0, max_exp), st.integers(min_coeff, max_coeff), min_size=low, max_size=high
-    )
 
 
 # shape -> (max exponent, coefficient range); "object-lane" also pins the
@@ -598,26 +586,27 @@ READOUT_SHAPES = {
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(data=st.data())
 def test_targeted_readout_equals_multiply(shape, data):
-    """Gathered and transformed factors together read the schoolbook product."""
+    """The polyspace readout pass over explicit terms reads the schoolbook product."""
     max_exp, (lo, hi) = READOUT_SHAPES[shape]
-    heavy = data.draw(_terms_around_gather_limit(False, max_exp, lo, hi))
-    light = data.draw(_terms_around_gather_limit(True, max_exp, lo, hi))
-    extra = data.draw(st.lists(
-        st.booleans().flatmap(lambda light: _terms_around_gather_limit(light, max_exp, lo, hi)),
-        max_size=1,
-    ))
+    term_map = st.dictionaries(
+        st.integers(0, max_exp), st.integers(lo, hi), min_size=1, max_size=40
+    )
+    terms = data.draw(st.lists(term_map, min_size=2, max_size=3))
     if shape == "multi-block":
-        heavy[max_exp] = 1  # the product's degree passes one block
-    factors = [ExactPolynomial(X, {(e,): c for e, c in terms.items()})
-               for terms in [heavy, light, *extra]]
-    rv = RadixVector(X, (sum(f.max_exponents()[0] for f in factors) + 1,))
-    packed = [pack_terms(f.terms, rv) for f in factors]
-    degree = rv.domain_size() - 1
+        terms[0][max_exp] = 1  # the product's degree passes one block
+    factors = [ExactPolynomial(X, {(e,): c for e, c in t.items()}) for t in terms]
+    oracles = [
+        EvaluationOracle(
+            degree_bound=max(t), mass=sum(t.values()), packed_terms=tuple(sorted(t.items()))
+        )
+        for t in terms
+    ]
+    degree = sum(max(t) for t in terms)
     size = _next_pow2(degree + 1)
     sparse = _sparse_product(factors)
     probes = data.draw(st.lists(st.integers(0, 2 * size), min_size=1, max_size=6))
     # the lowest and the highest term, and the first index past the degree
-    targets = probes + [sum(min(f.terms)[0] for f in factors), degree, degree + 1]
+    targets = probes + [sum(min(t) for t in terms), degree, degree + 1]
     expect = [sparse.coefficient((t,)) for t in targets]
     assert expect[-3] and expect[-2] and not expect[-1]
     bound = math.prod(f.mass() for f in factors)
@@ -630,7 +619,7 @@ def test_targeted_readout_equals_multiply(shape, data):
             wide = _wide_ntt_prime(size)
             assert bound < wide
             mp.setattr(setpart.polyring, "_ntt_primes", lambda _size, _bound: (wide,))
-        assert product_coefficients(packed, targets) == expect
+        assert extract_coefficients_polyspace(oracles, targets, 2 * size + 1) == expect
 
 
 def test_product_coefficients_run_the_crt_on_wide_coefficients(rng):
@@ -644,12 +633,5 @@ def test_product_coefficients_run_the_crt_on_wide_coefficients(rng):
     size = _next_pow2(sum(int(idx.max()) for idx, _c in packed) + 1)
     assert len(_ntt_primes(size, math.prod(f.mass() for f in factors))) >= 2
     sparse = _sparse_product(factors)
-    targets = [rv.pack(es) for es in sparse.terms] + [rv.domain_size() - 1]
-    got = product_coefficients(packed, targets)
-    assert got == [sparse.terms[es] for es in sparse.terms] + [0]
-
-
-def test_product_coefficients_validate_targets():
-    packed = [pack_terms({(1, 0): 1}, RadixVector(XY, (3, 1)))]
-    with pytest.raises(ValueError, match="nonnegative"):
-        product_coefficients(packed, [-1])
+    got = product_coefficients(packed)
+    assert {rv.unpack(i): c for i, c in enumerate(got) if c} == sparse.terms
