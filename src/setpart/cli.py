@@ -75,7 +75,8 @@ def build_parser() -> _Parser:
         "--mode",
         choices=("dense", "polyspace"),
         default="dense",
-        help="dense folds the sparse factors; polyspace only evaluates them",
+        help="dense folds the sparse factors; polyspace sweeps the loose subsets"
+        " by inclusion-exclusion",
     )
     common.add_argument(
         "--infants",

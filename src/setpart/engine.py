@@ -15,15 +15,17 @@ and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
 Dense mode folds the sparse factors: each exponent vector is one int of
 bit fields, a guard bit per field prunes every partial product past the
 target, and only the target's value is read.  Min-weight folds in the
-(min,+) semiring, with no cost axis in the key.  Polyspace mode reads
-the target coefficient (one per weight for min-weight) from evaluation
-oracles of the factors, in one blocked pass over the roots of unity,
-never transforming or materializing anything of product size.
+(min,+) semiring, with no cost axis in the key.  Polyspace mode sums by
+inclusion-exclusion over the subsets X of the loose elements, folding
+each factor restricted to the terms inside X on the remaining axes; a
+system's grid leaves 2^(n-pq) subsets to sweep.  Min-weight there
+substitutes a power of two for the cost variable and reads the least
+cost off the signed total.  Every value is an exact Python integer.
 
 Partition and cover solves share one core, ``_solve_encoded``.  A cover
 is a partition over the subset closure of each family, so it differs
-only in its factors: expanded sub-masks in dense mode, binomial product
-oracles in polyspace mode.
+only in its factors: expanded sub-masks in dense mode, binomial counts
+of the kept subsets inside X in polyspace mode.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .encoding import MatrixRepresentation, RadixVector
+from .encoding import MatrixRepresentation
 from .polyring import (
-    EvaluationOracle,
     ExactPolynomial,
-    extract_coefficients_polyspace,
+    extract_coefficients_polyspace,  # noqa: F401  (bench/tracer.py wraps this binding)
     multiply_packed_dense,  # noqa: F401  (bench/tracer.py wraps this binding)
-    pack_terms,
 )
 
 __all__ = [
@@ -385,6 +385,7 @@ class SolveStats:
     infant_p: int
     infant_q: int
     radices: tuple[int, ...]
+    sweep: int = 0  # loose subsets a polyspace solve sweeps, 2^|L|
 
 
 @dataclass(frozen=True)
@@ -393,6 +394,25 @@ class SolveAnswer:
     count: int | None
     min_weight: int | None
     stats: SolveStats
+
+
+def _key_layout(target: Sequence[int]) -> tuple[list[int], int, int]:
+    """Field offsets, bias and guard bits of packed keys within ``target``.
+
+    Coordinate v packs into a field of w = bit_length(target[v]) + 1 bits.
+    Partial products carry a bias of 2^(w-1) - 1 - target[v] per field, so
+    adding an in-limit term sets a field's top (guard) bit exactly when
+    that coordinate passes the target, and no field carries into the next.
+    """
+    offsets = []
+    bias = guard = width = 0
+    for limit in target:
+        offsets.append(width)
+        bits = limit.bit_length()
+        bias |= ((1 << bits) - 1 - limit) << width
+        guard |= 1 << (width + bits)
+        width += bits + 1
+    return offsets, bias, guard
 
 
 def _fold_sparse(
@@ -408,23 +428,12 @@ def _fold_sparse(
     the least cost summed over one term per factor (None when
     unreachable).
 
-    Each exponent vector packs into one int, coordinate v in a field of
-    w = bit_length(target[v]) + 1 bits.  Partial products carry a bias of
-    2^(w-1) - 1 - target[v] per field, so adding an in-limit term sets a
-    field's top (guard) bit exactly when that coordinate passes the
-    target, and no field carries into the next.  Such products are
-    pruned, which is sound because exponents only grow; a term past the
-    target on its own is dropped while packing.  The last factor is
-    joined by lookup, since only the target is read.
+    Each exponent vector packs into one int laid out by ``_key_layout``;
+    products that pass the target are pruned by their guard bits, which
+    is sound because exponents only grow, and a term past the target on
+    its own is dropped while packing.
     """
-    offsets = []
-    bias = guard = width = 0
-    for limit in target:
-        offsets.append(width)
-        bits = limit.bit_length()
-        bias |= ((1 << bits) - 1 - limit) << width
-        guard |= 1 << (width + bits)
-        width += bits + 1
+    offsets, bias, guard = _key_layout(target)
     factors = []
     for terms in term_maps:
         packed: dict[int, int] = {}
@@ -437,7 +446,17 @@ def _fold_sparse(
             elif exps[-1] < packed.get(key, exps[-1] + 1):
                 packed[key] = exps[-1]
         factors.append(packed)
+    goal = bias + sum(t << o for t, o in zip(target, offsets))
+    return _fold_keys(factors, bias, guard, goal, min_plus)
 
+
+def _fold_keys(
+    factors: Sequence[dict[int, int]], bias: int, guard: int, goal: int, min_plus: bool
+) -> int | None:
+    """``_fold_sparse`` on factors already packed to keys.
+
+    The last factor is joined by lookup, since only the target is read.
+    """
     acc = {bias: 0 if min_plus else 1}
     for factor in factors[:-1]:
         items = list(factor.items())
@@ -457,13 +476,91 @@ def _fold_sparse(
                     if not e & guard:
                         nxt[e] = nxt.get(e, 0) + ca * cb
         acc = nxt
-    goal = bias + sum(t << o for t, o in zip(target, offsets))
     last = factors[-1]
     # every accumulated key is within the target, so goal - e packs t - a
     if min_plus:
         costs = [w + last[goal - e] for e, w in acc.items() if goal - e in last]
         return min(costs, default=None)
     return sum(c * last.get(goal - e, 0) for e, c in acc.items())
+
+
+def _sweep_loose(
+    term_maps: Sequence[dict[tuple[int, ...], int]],
+    target: tuple[int, ...],
+    min_weight: bool,
+    cover: bool,
+) -> int | None:
+    """Value at ``target`` by inclusion-exclusion over the loose mask.
+
+    The count is the sum over X of the loose elements L of
+    (-1)^|L - X| * fold(F_1(X), ..., F_k(X)), where F_i(X) keeps factor
+    i's terms whose loose mask lies inside X and drops the mask.  A tuple
+    of terms is counted at every X holding the union of its masks, so the
+    alternating sum keeps the tuples whose masks cover L, and with cards
+    summing to |L| those are the ones whose masks tile L.  The grid axes
+    are folded as they are.  A cover's set S stands for its subset
+    closure, so in F_i(X) it has coefficient C(|S & X|, j) at card j.
+
+    Min-weight substitutes 2^(B*cost) for the cost variable, with B bits
+    past the largest count any cost can have (the product of the factor
+    masses); the signed total is then the cost polynomial at 2^B, and the
+    least cost is its lowest nonzero B-bit digit (None when it is 0).
+    Exact integers throughout: no primes, transforms or tables.
+    """
+    loose, full = target[0], target[1]
+    folded = (loose,) + target[2:6]  # the target without its mask
+    offsets, bias, guard = _key_layout(folded)
+    goal = bias + sum(t << o for t, o in zip(folded, offsets))
+    digit = 0
+    if min_weight:
+        mass = math.prod(
+            sum(m << (exps[0] if cover else 0) for exps, m in terms.items())
+            for terms in term_maps
+        )
+        digit = mass.bit_length() + 1
+    # factor i as (mask, key, coefficient); card is the field at offset 0,
+    # which a cover's key leaves at 0 for the binomial to fill
+    factors = []
+    for terms in term_maps:
+        merged: dict[tuple[int, int], int] = {}
+        for exps, m in terms.items():
+            grid = exps[2:6]
+            if any(e > t for e, t in zip(grid, folded[1:])):
+                continue
+            key = sum(e << o for e, o in zip(grid, offsets[1:]))
+            if not cover:
+                key += exps[0]
+            if min_weight:
+                m <<= digit * exps[6]
+            merged[exps[1], key] = merged.get((exps[1], key), 0) + m
+        factors.append([(mask, key, m) for (mask, key), m in merged.items()])
+    binomials = [[math.comb(c, j) for j in range(c + 1)] for c in range(loose + 1)]
+
+    total = 0
+    for chosen in range(full + 1):
+        outside = full ^ chosen
+        restricted = []
+        for entries in factors:
+            keyed: dict[int, int] = {}
+            if cover:
+                for mask, key, m in entries:
+                    for j, ways in enumerate(binomials[(mask & chosen).bit_count()]):
+                        keyed[key + j] = keyed.get(key + j, 0) + m * ways
+            else:
+                for mask, key, m in entries:
+                    if not mask & outside:
+                        keyed[key] = keyed.get(key, 0) + m
+            if not keyed:
+                break
+            restricted.append(keyed)
+        else:
+            value = _fold_keys(restricted, bias, guard, goal, False)
+            total += -value if outside.bit_count() & 1 else value
+    if not min_weight:
+        return total
+    if not total:
+        return None
+    return ((total & -total).bit_length() - 1) // digit
 
 
 def _answer(objective: str, value: int | None, stats: SolveStats) -> SolveAnswer:
@@ -473,55 +570,19 @@ def _answer(objective: str, value: int | None, stats: SolveStats) -> SolveAnswer
     return SolveAnswer(value > 0, value if objective == "count" else None, None, stats)
 
 
-def _terms_oracle(
-    terms: dict[tuple[int, ...], int], radix: RadixVector
-) -> EvaluationOracle:
-    """Evaluation oracle over a factor's explicit terms."""
-    indices, coeffs = pack_terms(terms, radix)
-    return EvaluationOracle(
-        degree_bound=int(indices.max()),
-        mass=sum(coeffs.tolist()),
-        packed_terms=tuple(sorted(zip(indices.tolist(), coeffs.tolist()))),
-    )
-
-
-def _closure_oracle(
-    terms: dict[tuple[int, ...], int], radix: RadixVector
-) -> EvaluationOracle:
-    """Evaluation oracle over the subset closure of a factor's loose terms.
-
-    A term (card, mask, ..., cost) stands for u^cost * prod(1 + u^(card+bit))
-    over the bits of its mask, repeated once per unit of multiplicity, so
-    the closure is never expanded.
-    """
-    strides = radix.strides
-    sets = []
-    degree = mass = 0
-    for exps, multiplicity in terms.items():
-        base = radix.pack((0,) * 6 + exps[6:])
-        bits = tuple(
-            strides[0] + (1 << b) * strides[1]
-            for b in range(exps[1].bit_length())
-            if exps[1] >> b & 1
-        )
-        sets += [(base, bits)] * multiplicity
-        degree = max(degree, base + sum(bits))
-        mass += multiplicity << len(bits)
-    return EvaluationOracle(degree_bound=degree, mass=mass, packed_factors=tuple(sets))
-
-
 def _solve_encoded(
     inst: PartitionInstance,
     system: InfantSystem,
     term_maps: list[dict[tuple[int, ...], int]],
     space: str,
-    oracle_for: Callable[[dict, RadixVector], EvaluationOracle] = _terms_oracle,
 ) -> SolveAnswer:
     """The one solve core: radices and domain, stats, engine choice, readout.
 
-    ``oracle_for`` turns one factor's term map into its polyspace oracle;
-    the radices come from the term maps themselves, so an oracle may stand
-    for more terms than its map holds as long as their maxima agree.
+    Dense mode folds the term maps as given (a cover's already expanded to
+    its subset closure); polyspace sweeps the loose subsets X by
+    inclusion-exclusion, folding each restriction in the counting
+    semiring, and reads a cover's sets as their closures without
+    expanding them.
     """
     if space not in ("dense", "polyspace"):
         raise ValueError("space must be 'dense' or 'polyspace'")
@@ -534,7 +595,6 @@ def _solve_encoded(
         for v, top in enumerate(map(max, zip(*terms))):
             maxima[v] += top
     radices = tuple(m + 1 for m in maxima)
-    domain = math.prod(radices)
 
     # a target past some radix has coefficient zero in every mode
     if not all(term_maps) or not all(t < r for t, r in zip(target, radices)):
@@ -546,12 +606,13 @@ def _solve_encoded(
     stats = SolveStats(
         space=space,
         engine=engine,
-        domain=domain,
+        domain=math.prod(radices),
         variables=variables,
         term_counts=tuple(len(t) for t in term_maps),
         infant_p=system.p,
         infant_q=system.q,
         radices=radices,
+        sweep=1 << target[0] if engine == "polyspace" else 0,
     )
 
     if engine == "empty":
@@ -559,16 +620,7 @@ def _solve_encoded(
     elif engine == "sparse-fold":
         value = _fold_sparse(term_maps, target, min_weight)
     else:
-        # polyspace reads one coefficient per weight the factors can sum to;
-        # min-weight is the least weight whose coefficient is nonzero
-        probes = range(maxima[6] + 1) if min_weight else [0]
-        radix = RadixVector(variables, radices)
-        targets = [radix.pack(target + (w,) if min_weight else target) for w in probes]
-        oracles = [oracle_for(terms, radix) for terms in term_maps]
-        coeffs = extract_coefficients_polyspace(oracles, targets, domain)
-        value = coeffs[0]
-        if min_weight:
-            value = next((w for w, c in zip(probes, coeffs) if c), None)
+        value = _sweep_loose(term_maps, target, min_weight, inst.structure == "cover")
     return _answer(inst.objective, value, stats)
 
 
@@ -602,9 +654,10 @@ def solve_cover(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
     A cover is a partition over the subset closure of each family, so it
     shares the partition solve core and only changes the factors: dense
     mode expands each set's loose mask into its sub-masks (capped at
-    ``COVER_EXPAND_LIMIT`` members per set), polyspace mode evaluates the
-    binomial product form without expanding.  The closure has the same
-    exponent maxima as its sets, so radices and domain do not change.
+    ``COVER_EXPAND_LIMIT`` members per set), polyspace mode counts the
+    kept subsets inside each swept X by binomials, without expanding.
+    The closure has the same exponent maxima as its sets, so radices and
+    domain do not change.
     Counts weigh each (set, kept-subset) choice separately.
     """
     if inst.structure != "cover":
@@ -612,7 +665,7 @@ def solve_cover(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
     system = InfantSystem.empty(inst.n)
     term_maps = [dict(poly.terms) for poly in build_infant_encoding(inst, system)]
     if space == "polyspace":
-        return _solve_encoded(inst, system, term_maps, space, _closure_oracle)
+        return _solve_encoded(inst, system, term_maps, space)
     closures = []
     for provider, terms in zip(inst.providers, term_maps):
         closure: dict[tuple[int, ...], int] = {}

@@ -68,6 +68,7 @@ class StatsRecorder:
     engines: dict[str, int] = field(default_factory=dict)
     max_domain: int = 0
     systems_used: int = 0
+    max_sweep: int = 0
 
     def record_guess(self, kind: str):
         self.guesses[kind] = self.guesses.get(kind, 0) + 1
@@ -77,6 +78,7 @@ class StatsRecorder:
         engine = answer.stats.engine
         self.engines[engine] = self.engines.get(engine, 0) + 1
         self.max_domain = max(self.max_domain, answer.stats.domain)
+        self.max_sweep = max(self.max_sweep, answer.stats.sweep)
         if answer.stats.infant_p:
             self.systems_used += 1
 
@@ -87,6 +89,7 @@ class StatsRecorder:
             "engines": dict(self.engines),
             "max_domain": self.max_domain,
             "systems_used": self.systems_used,
+            "max_sweep": self.max_sweep,
         }
 
 
@@ -187,11 +190,9 @@ def decide_coloring_with_preferences(
         system = InfantSystem.empty(inst.graph.n)
     elif not validate_infant_system(engine_inst, system).ok:
         system = InfantSystem.empty(inst.graph.n)
-    try:
-        answer = solve_with_infants(engine_inst, system, space)
-    except RowNormalizationError:
-        # defensive: a system that misfits must not break the solve
-        answer = solve_simple(engine_inst, space)
+    # a validated system puts a second row member beside every infant, so
+    # no set holds a lone infant and the solve never raises on row normalization
+    answer = solve_with_infants(engine_inst, system, space)
     _note_answer(stats, answer)
     return answer.feasible
 

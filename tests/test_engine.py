@@ -1,10 +1,12 @@
 """Partition/cover solver core: encodings, family systems, engine parity."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import setpart.engine
 from setpart.encoding import (
     MatrixRepresentation,
     characteristic_matrix,
@@ -575,6 +577,143 @@ def test_system_solve_agrees_across_spaces_and_weights():
         assert answer.min_weight == 5
     _, _, best = brute_partition(inst)
     assert best == 5
+
+
+# ---------------------------------------------------------------------------
+# polyspace: inclusion-exclusion over the loose mask
+
+
+def _planted(n, pairs, families, objective):
+    """Instance and pair system (q = 2) whose sets respect the system: a
+    set holding an infant without its partner gains the partner."""
+    patched = []
+    for sets, weights in families:
+        fixed = []
+        for s in sets:
+            grown = set(s)
+            for pair, infant in pairs:
+                if infant in grown and len(grown & pair) < 2:
+                    grown |= pair
+            fixed.append(frozenset(grown))
+        patched.append((fixed, weights))
+    inst = explicit_instance(n, len(families), patched, objective)
+    return inst, InfantSystem.build(n, pairs, 2)
+
+
+def _fields(objective, feasible, count, best):
+    """(feasible, count, min_weight) as a solve of this objective reports them."""
+    return (
+        feasible,
+        count if objective == "count" else None,
+        best if objective == "min-weight" else None,
+    )
+
+
+@st.composite
+def _planted_instances(draw, objective):
+    """Up to 3 planted pairs over 1..7, weights up to 10^3.  Half the time
+    every set of the first family holds one loose element, so that
+    family's restriction F_1(X) is empty for each X without it."""
+    n = draw(st.integers(1, 7))
+    p = draw(st.integers(0, min(3, n // 2)))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = [(frozenset(order[2 * i : 2 * i + 2]), order[2 * i]) for i in range(p)]
+    entry = st.tuples(st.frozensets(st.integers(1, n)), st.integers(0, 1000))
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = draw(st.lists(entry, min_size=1, max_size=6))
+        families.append(([s for s, _w in entries], [w for _s, w in entries]))
+    if n > 2 * p and draw(st.booleans()):
+        pin = order[-1]
+        families[0] = ([s | {pin} for s in families[0][0]], families[0][1])
+    return _planted(n, pairs, families, objective)
+
+
+@pytest.mark.parametrize("objective", ["decision", "count", "min-weight"])
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=st.data())
+def test_polyspace_sweep_equals_dense_and_brute_force(objective, case):
+    inst, system = case.draw(_planted_instances(objective))
+    assert validate_infant_system(inst, system).ok
+    want = _fields(objective, *brute_partition(inst))
+    for encoding in (system, InfantSystem.empty(inst.n)):
+        poly = solve_with_infants(inst, encoding, "polyspace")
+        dense = solve_with_infants(inst, encoding)
+        assert (poly.feasible, poly.count, poly.min_weight) == want
+        assert (dense.feasible, dense.count, dense.min_weight) == want
+        swept = poly.stats.engine == "polyspace"
+        assert poly.stats.sweep == (1 << len(encoding.loose) if swept else 0)
+        assert dense.stats.sweep == 0
+
+
+@st.composite
+def _cover_instances(draw, objective):
+    """Covers over 1..5 with weights up to 10^3; a family may be empty."""
+    n = draw(st.integers(1, 5))
+    entry = st.tuples(st.frozensets(st.integers(1, n), max_size=4), st.integers(0, 1000))
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = draw(st.lists(entry, max_size=3))
+        families.append(([s for s, _w in entries], [w for _s, w in entries]))
+    return explicit_instance(n, len(families), families, objective, "cover")
+
+
+def _closure_partition(inst):
+    """The cover as a partition over every kept subset of every set."""
+    families = []
+    for provider in inst.providers:
+        subsets, weights = [], []
+        for members, w in provider.entries():
+            ordered = sorted(members)
+            for pick in range(1 << len(ordered)):
+                subsets.append(frozenset(e for j, e in enumerate(ordered) if pick >> j & 1))
+                weights.append(w)
+        families.append((subsets, weights))
+    return explicit_instance(inst.n, inst.k, families, inst.objective, "partition")
+
+
+@pytest.mark.parametrize("objective", ["decision", "count", "min-weight"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=st.data())
+def test_polyspace_cover_sweep_equals_the_subset_closure(objective, case):
+    inst = case.draw(_cover_instances(objective))
+    want = _fields(objective, *brute_partition(_closure_partition(inst)))
+    for space in ("polyspace", "dense"):
+        answer = solve_cover(inst, space)
+        assert (answer.feasible, answer.count, answer.min_weight) == want
+
+
+def test_polyspace_calls_no_transform_readout(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a polyspace solve reached polyring's readout")
+
+    for name in ("extract_coefficients_polyspace", "multiply_packed_dense"):
+        monkeypatch.setattr(setpart.engine, name, refuse)
+    sets = [{1, 2}, {3, 4}, {1, 2, 3, 4}]
+    inst, system = _planted(4, [({1, 2}, 1)], [(sets, [2, 3, 4])] * 2, "min-weight")
+    assert solve_with_infants(inst, system, "polyspace").min_weight == 5
+    cover = plain(3, 2, [{1, 2, 3}], [{2, 3}], objective="count", structure="cover")
+    assert solve_cover(cover, "polyspace").count == solve_cover(cover).count == 4
+
+
+def test_polyspace_peak_memory_is_small_under_a_system(rng):
+    """Planted (n=6, k=3, p=3) solves hold a few term maps, no tables."""
+    pairs = [({1, 4}, 1), ({2, 5}, 5), ({3, 6}, 3)]
+    for _ in range(4):
+        families = []
+        for _ in range(3):
+            sets = [frozenset(rng.sample(range(1, 7), rng.randint(0, 6))) for _ in range(6)]
+            families.append((sets, None))
+        inst, system = _planted(6, pairs, families, "count")
+        tracemalloc.start()
+        try:
+            answer = solve_with_infants(inst, system, "polyspace")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer.stats.engine == "polyspace"
+        assert answer.count == solve_with_infants(inst, system).count
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from conftest import (
     er_graph,
     path_graph,
     petersen_graph,
+    random_regular,
     relabel_graph,
     star_graph,
 )
@@ -405,6 +406,16 @@ def test_tsp_spaces_agree(rng):
         assert tsp(g, space="polyspace") == tsp(g) == brute_tsp(g)
 
 
+def test_tsp_polyspace_on_wide_weights(rng):
+    """Weights up to 10^4 on a cubic graph of 6: polyspace reads the least
+    cost as one digit of a single signed sum, with no per-weight probes."""
+    cubic = random_regular(6, 3, rng)
+    g = Graph.build(6, sorted(cubic.edges), {e: rng.randint(1, 10**4) for e in cubic.edges})
+    stats = StatsRecorder()
+    assert tsp(g, space="polyspace", stats=stats) == brute_tsp(g) is not None
+    assert stats.engines.get("polyspace", 0) > 0
+
+
 # ---------------------------------------------------------------------------
 # counting perfect matchings
 
@@ -458,3 +469,12 @@ def test_stats_recorder_aggregates():
     assert snap["systems_used"] == 1
     assert snap["max_domain"] > 0
     assert sum(snap["engines"].values()) == 1
+
+
+def test_stats_recorder_keeps_the_largest_sweep():
+    dense, poly = StatsRecorder(), StatsRecorder()
+    hamiltonian_cycle(cycle_graph(6), stats=dense)
+    hamiltonian_cycle(cycle_graph(6), space="polyspace", stats=poly)
+    assert dense.to_dict()["max_sweep"] == 0
+    # the hamcycle system leaves some elements loose; the sweep spans them
+    assert 1 < poly.to_dict()["max_sweep"] < 1 << 6
