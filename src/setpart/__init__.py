@@ -3,7 +3,7 @@
 The package is organized in layers:
 
 - :mod:`setpart.graphcore` -- immutable graphs and sparse-graph decompositions
-- :mod:`setpart.encoding` -- occupancy matrices, invariants, packed radix vectors
+- :mod:`setpart.encoding` -- family-grid placement, packed radix vectors
 - :mod:`setpart.polyring` -- exact multivariate polynomials and transforms
 - :mod:`setpart.engine` -- the partition/cover solver with optional family systems
 - :mod:`setpart.problems` -- graph drivers (coloring, domatic, tours, matchings)

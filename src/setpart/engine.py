@@ -8,9 +8,15 @@ coefficient of the product of k family polynomials.
 
 A family system ((R_1, r_1), ..., (R_p, r_p)) refines the encoding: the
 designated elements r_i never appear alone in a candidate set without a
-relative from R_i, which lets the grid invariants of
+relative from R_i, which lets four grid invariants over the placement of
 :mod:`setpart.encoding` replace the full subset axis over those elements
 and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
+
+Each solve makes one encoding pass: every distinct provider is
+enumerated once and its sets go straight to a term map (exponent tuple
+to multiplicity), with no polynomial objects.  A provider listed more
+than once, as drivers do for k interchangeable parts, shares one map,
+and the engines pack, expand and restrict each distinct map once.
 
 Dense mode folds the sparse factors: each exponent vector is one int of
 bit fields, a guard bit per field prunes every partial product past the
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -346,29 +353,70 @@ def _target_exponents(system: InfantSystem) -> tuple[int, ...]:
     return (loose, (1 << loose) - 1, p, p * q, p * full_row, code_value)
 
 
+def _distinct(items: Sequence) -> tuple[list, list[int]]:
+    """Distinct objects of ``items`` by identity, and each item's slot among them.
+
+    A provider listed more than once is one object, and so is its term
+    map, so either is encoded, packed or restricted once.
+    """
+    firsts = list({id(item): item for item in items}.values())
+    slot = {id(item): i for i, item in enumerate(firsts)}
+    return firsts, [slot[id(item)] for item in items]
+
+
+def _encode_terms(
+    inst: PartitionInstance, system: InfantSystem
+) -> list[dict[tuple[int, ...], int]]:
+    """One term map per provider: exponent tuple -> multiplicity.
+
+    The exponents are those of ``_encode_set``, plus the weight as a
+    seventh (cost) exponent in min-weight mode.  A provider listed more
+    than once is enumerated and encoded once, and its map is shared.  On
+    the plain system a set's exponents are its size and the OR of its
+    elements' bits, zero on every grid axis.
+    """
+    cost_axis = inst.objective == "min-weight"
+    plain = not system.p
+    if plain:
+        bits = {e: 1 << i for i, e in enumerate(sorted(system.loose))}
+    else:
+        loose_pos = {e: i for i, e in enumerate(sorted(system.loose))}
+        base = (1 << system.q) - 1
+        base_powers = [base**i for i in range(system.p)]
+    providers, which = _distinct(inst.providers)
+    maps = []
+    for provider in providers:
+        terms: dict[tuple[int, ...], int] = {}
+        for members, weight in provider.entries():
+            if plain:
+                try:
+                    mask = sum(map(bits.__getitem__, members))
+                except KeyError:
+                    e = next(e for e in members if e not in bits)
+                    raise EncodingError(
+                        f"provider {provider.label}: element {e} outside 1..{system.n}"
+                    ) from None
+                exps = (len(members), mask, 0, 0, 0, 0)
+            else:
+                exps = _encode_set(members, loose_pos, system, base_powers, provider.label)
+            if cost_axis:
+                exps += (weight,)
+            terms[exps] = terms.get(exps, 0) + 1
+        maps.append(terms)
+    return [maps[i] for i in which]
+
+
 def build_infant_encoding(
     inst: PartitionInstance, system: InfantSystem
 ) -> list[ExactPolynomial]:
     """One six-variable polynomial per provider under the given system.
 
     Terms accumulate over repeated sets; in min-weight mode a seventh
-    cost variable carries each set's weight.
+    cost variable carries each set's weight.  The solves read the same
+    term maps from ``_encode_terms`` without building polynomials.
     """
-    cost_axis = inst.objective == "min-weight"
-    variables = VARIABLES + ("cost",) if cost_axis else VARIABLES
-    loose_pos = {e: i for i, e in enumerate(sorted(system.loose))}
-    base = (1 << system.q) - 1
-    base_powers = [base**i for i in range(system.p)]
-    polys = []
-    for provider in inst.providers:
-        terms: dict[tuple[int, ...], int] = {}
-        for members, weight in provider.entries():
-            exps = _encode_set(members, loose_pos, system, base_powers, provider.label)
-            if cost_axis:
-                exps = exps + (weight,)
-            terms[exps] = terms.get(exps, 0) + 1
-        polys.append(ExactPolynomial(variables, terms))
-    return polys
+    variables = VARIABLES + ("cost",) if inst.objective == "min-weight" else VARIABLES
+    return [ExactPolynomial(variables, dict(t)) for t in _encode_terms(inst, system)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +482,21 @@ def _fold_sparse(
     its own is dropped while packing.
     """
     offsets, bias, guard = _key_layout(target)
+    maps, which = _distinct(term_maps)
     factors = []
-    for terms in term_maps:
+    for terms in maps:
         packed: dict[int, int] = {}
         for exps, value in terms.items():
-            if any(e > t for e, t in zip(exps, target)):
+            if any(map(operator.gt, exps, target)):
                 continue
-            key = sum(e << o for e, o in zip(exps, offsets))
+            key = sum(map(operator.lshift, exps, offsets))
             if not min_plus:
                 packed[key] = packed.get(key, 0) + value
             elif exps[-1] < packed.get(key, exps[-1] + 1):
                 packed[key] = exps[-1]
         factors.append(packed)
     goal = bias + sum(t << o for t, o in zip(target, offsets))
-    return _fold_keys(factors, bias, guard, goal, min_plus)
+    return _fold_keys([factors[i] for i in which], bias, guard, goal, min_plus)
 
 
 def _fold_keys(
@@ -511,23 +560,25 @@ def _sweep_loose(
     folded = (loose,) + target[2:6]  # the target without its mask
     offsets, bias, guard = _key_layout(folded)
     goal = bias + sum(t << o for t, o in zip(folded, offsets))
+    maps, which = _distinct(term_maps)
     digit = 0
     if min_weight:
-        mass = math.prod(
+        masses = [
             sum(m << (exps[0] if cover else 0) for exps, m in terms.items())
-            for terms in term_maps
-        )
-        digit = mass.bit_length() + 1
+            for terms in maps
+        ]
+        digit = math.prod(masses[i] for i in which).bit_length() + 1
     # factor i as (mask, key, coefficient); card is the field at offset 0,
     # which a cover's key leaves at 0 for the binomial to fill
+    limits, grid_offsets = folded[1:], offsets[1:]
     factors = []
-    for terms in term_maps:
+    for terms in maps:
         merged: dict[tuple[int, int], int] = {}
         for exps, m in terms.items():
             grid = exps[2:6]
-            if any(e > t for e, t in zip(grid, folded[1:])):
+            if any(map(operator.gt, grid, limits)):
                 continue
-            key = sum(e << o for e, o in zip(grid, offsets[1:]))
+            key = sum(map(operator.lshift, grid, grid_offsets))
             if not cover:
                 key += exps[0]
             if min_weight:
@@ -554,7 +605,7 @@ def _sweep_loose(
                 break
             restricted.append(keyed)
         else:
-            value = _fold_keys(restricted, bias, guard, goal, False)
+            value = _fold_keys([restricted[i] for i in which], bias, guard, goal, False)
             total += -value if outside.bit_count() & 1 else value
     if not min_weight:
         return total
@@ -590,9 +641,11 @@ def _solve_encoded(
     variables = VARIABLES + ("cost",) if min_weight else VARIABLES
     target = _target_exponents(system)
 
+    maps, which = _distinct(term_maps)
+    tops = [tuple(map(max, zip(*terms))) for terms in maps]
     maxima = [0] * len(variables)
-    for terms in term_maps:
-        for v, top in enumerate(map(max, zip(*terms))):
+    for i in which:
+        for v, top in enumerate(tops[i]):
             maxima[v] += top
     radices = tuple(m + 1 for m in maxima)
 
@@ -639,8 +692,7 @@ def solve_with_infants(
     """
     if inst.structure != "partition":
         raise ValueError("instance structure must be 'partition'")
-    term_maps = [dict(poly.terms) for poly in build_infant_encoding(inst, system)]
-    return _solve_encoded(inst, system, term_maps, space)
+    return _solve_encoded(inst, system, _encode_terms(inst, system), space)
 
 
 def solve_simple(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
@@ -658,17 +710,20 @@ def solve_cover(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
     kept subsets inside each swept X by binomials, without expanding.
     The closure has the same exponent maxima as its sets, so radices and
     domain do not change.
-    Counts weigh each (set, kept-subset) choice separately.
+    Counts weigh each (set, kept-subset) choice separately.  Each
+    distinct provider is encoded, and in dense mode expanded, once.
     """
     if inst.structure != "cover":
         raise ValueError("instance structure must be 'cover'")
     system = InfantSystem.empty(inst.n)
-    term_maps = [dict(poly.terms) for poly in build_infant_encoding(inst, system)]
+    term_maps = _encode_terms(inst, system)
     if space == "polyspace":
         return _solve_encoded(inst, system, term_maps, space)
-    closures = []
+    closures: dict[int, dict[tuple[int, ...], int]] = {}  # a shared map expands once
     for provider, terms in zip(inst.providers, term_maps):
-        closure: dict[tuple[int, ...], int] = {}
+        if id(terms) in closures:
+            continue
+        closure = closures[id(terms)] = {}
         for (card, mask, *rest), multiplicity in terms.items():
             if card > COVER_EXPAND_LIMIT:
                 raise EncodingError(
@@ -682,8 +737,7 @@ def solve_cover(inst: PartitionInstance, space: str = "dense") -> SolveAnswer:
                 if not sub:
                     break
                 sub = (sub - 1) & mask
-        closures.append(closure)
-    return _solve_encoded(inst, system, closures, space)
+    return _solve_encoded(inst, system, [closures[id(t)] for t in term_maps], space)
 
 
 # ---------------------------------------------------------------------------

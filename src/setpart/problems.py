@@ -154,18 +154,31 @@ def _color_families(inst: ColoringInstance) -> list[FamilyProvider]:
 
     A set enters family i only if every vertex whose preferred color is i
     has a closed-neighborhood witness inside the set; the empty set thus
-    belongs exactly to the colors nobody prefers.
+    belongs exactly to the colors nobody prefers.  Colors nobody prefers
+    that allow the same vertices share one provider (labeled by the first
+    of them), which the engine encodes once.
     """
     g = inst.graph
+    independent: dict[tuple[int, ...], list[frozenset[int]]] = {}
+    fanless: dict[tuple[int, ...], FamilyProvider] = {}
     providers = []
     for color in range(1, inst.k + 1):
-        allowed = sorted(v for v in g.vertices() if color in inst.lists[v])
+        allowed = tuple(v for v in g.vertices() if color in inst.lists[v])
         fans = [v for v in g.vertices() if inst.preferred[v] == color]
-        sets = []
-        for cand in sorted(_independent_subsets(g, allowed), key=sorted):
-            if all(cand & g.closed_neighborhood(v) for v in fans):
-                sets.append(cand)
-        providers.append(FamilyProvider.explicit(f"color-{color}", sets))
+        if not fans and allowed in fanless:
+            providers.append(fanless[allowed])
+            continue
+        if allowed not in independent:
+            independent[allowed] = sorted(_independent_subsets(g, list(allowed)), key=sorted)
+        sets = [
+            cand
+            for cand in independent[allowed]
+            if all(cand & g.closed_neighborhood(v) for v in fans)
+        ]
+        provider = FamilyProvider.explicit(f"color-{color}", sets)
+        if not fans:
+            fanless[allowed] = provider
+        providers.append(provider)
     return providers
 
 

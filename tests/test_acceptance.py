@@ -8,16 +8,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from setpart.encoding import (
-    RadixVector,
-    code,
-    colweight,
-    hamming_weight,
-    is_row_normalized,
-    reconstruct_matrix,
-    rowsum,
-    weight,
-)
+from setpart.encoding import RadixVector
 from setpart.engine import (
     FamilyProvider,
     InfantSystem,
@@ -65,6 +56,15 @@ from conftest import (
     er_graph,
     petersen_graph,
     random_regular,
+)
+from matrices import (
+    code,
+    colweight,
+    hamming_weight,
+    is_row_normalized,
+    reconstruct_matrix,
+    rowsum,
+    weight,
 )
 
 ER_DENSITIES = (0.2, 0.4, 0.6)

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from setpart.encoding import (
-    MatrixRepresentation,
-    RadixVector,
+from setpart.encoding import MatrixRepresentation, RadixVector
+from matrices import (
     characteristic_matrix,
     code,
     colweight,

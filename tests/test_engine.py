@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import setpart.engine
-from setpart.encoding import (
-    MatrixRepresentation,
-    characteristic_matrix,
-    code,
-    colweight,
-    is_row_normalized,
-    rowsum,
-    weight,
-)
+from setpart.encoding import MatrixRepresentation
 from setpart.engine import (
     COVER_EXPAND_LIMIT,
     VARIABLES,
@@ -33,10 +25,20 @@ from setpart.engine import (
     solve_with_infants,
     system_from_json,
     validate_infant_system,
+    _encode_set,
+    _encode_terms,
     _fold_sparse,
 )
 from setpart.oracle import brute_partition
 from setpart.polyring import multiply
+from matrices import (
+    characteristic_matrix,
+    code,
+    colweight,
+    is_row_normalized,
+    rowsum,
+    weight,
+)
 
 
 def explicit_instance(n, k, families, objective="decision", structure="partition"):
@@ -248,6 +250,44 @@ def test_encoding_rejects_out_of_range_elements():
     inst = plain(3, 1, [{1, 7}])
     with pytest.raises(EncodingError, match="outside 1..3"):
         build_infant_encoding(inst, InfantSystem.empty(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_plain_encoding_equals_the_per_set_reference(data):
+    """On the plain system each term map equals ``_encode_set`` set by set,
+    and an element outside 1..n raises the same EncodingError."""
+    n = data.draw(st.integers(0, 7), label="n")
+    objective = data.draw(st.sampled_from(["count", "min-weight"]), label="objective")
+    members = st.frozensets(st.integers(1, n) if n else st.nothing())
+    entry = st.tuples(members, st.integers(0, 10**6))
+    families = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        entries = data.draw(st.lists(entry, max_size=6))
+        entries += data.draw(st.lists(st.sampled_from(entries), max_size=3)) if entries else []
+        if data.draw(st.booleans()):
+            entries.append((frozenset(), data.draw(st.integers(0, 5))))
+        families.append(([s for s, _w in entries], [w for _s, w in entries]))
+    inst = explicit_instance(n, len(families), families, objective)
+    system = InfantSystem.empty(n)
+    loose_pos = {e: e - 1 for e in range(1, n + 1)}
+    want = []
+    for provider, (sets, weights) in zip(inst.providers, families):
+        terms = {}
+        for s, w in zip(sets, weights):
+            exps = _encode_set(s, loose_pos, system, [], provider.label)
+            exps += (w,) if objective == "min-weight" else ()
+            terms[exps] = terms.get(exps, 0) + 1
+        want.append(terms)
+    assert _encode_terms(inst, system) == want
+
+    bad = data.draw(st.sampled_from([0, n + 1]) | st.integers(max_value=-1), label="bad")
+    broken = data.draw(members) | {bad}
+    with pytest.raises(EncodingError) as reference:
+        _encode_set(broken, loose_pos, system, [], "family-1")
+    with pytest.raises(EncodingError) as got:
+        _encode_terms(plain(n, 1, [broken], objective=objective), system)
+    assert str(got.value) == str(reference.value)
 
 
 def _random_system(rng, n):
@@ -694,6 +734,73 @@ def test_polyspace_calls_no_transform_readout(monkeypatch):
     assert solve_with_infants(inst, system, "polyspace").min_weight == 5
     cover = plain(3, 2, [{1, 2, 3}], [{2, 3}], objective="count", structure="cover")
     assert solve_cover(cover, "polyspace").count == solve_cover(cover).count == 4
+
+
+def test_solves_build_no_polynomials(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a solve built an ExactPolynomial")
+
+    monkeypatch.setattr(setpart.engine, "ExactPolynomial", refuse)
+    sets = [{1, 2}, {3, 4}, {1, 2, 3, 4}]
+    inst, system = _planted(4, [({1, 2}, 1)], [(sets, [2, 3, 4])] * 2, "min-weight")
+    for space in ("dense", "polyspace"):
+        assert solve_with_infants(inst, system, space).min_weight == 5
+        assert solve_simple(inst, space).min_weight == 5
+        cover = plain(3, 2, [{1, 2, 3}], [{2, 3}], objective="count", structure="cover")
+        assert solve_cover(cover, space).count == 4
+
+
+@pytest.mark.parametrize("objective", ["decision", "count", "min-weight"])
+@pytest.mark.parametrize(
+    "solve, space",
+    [
+        (solve_simple, "dense"),
+        (solve_simple, "polyspace"),
+        (solve_cover, "dense"),
+        (solve_cover, "polyspace"),
+    ],
+    ids=["dense", "polyspace", "cover-dense", "cover-polyspace"],
+)
+def test_a_repeated_provider_is_enumerated_once_per_solve(rng, objective, solve, space):
+    """A provider listed k times is enumerated once, and the solve answers
+    as k distinct providers with the same sets and weights do."""
+    structure = "cover" if solve is solve_cover else "partition"
+    for _ in range(12):
+        n, k = rng.randint(1, 6), rng.randint(2, 3)
+        sets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(5)]
+        weights = [rng.randint(0, 9) for _ in sets]
+        calls = []
+
+        def enumerate_fn():
+            calls.append(1)
+            return list(zip(sets, weights))
+
+        shared = FamilyProvider("shared", enumerate_fn)
+        inst = PartitionInstance(n, k, (shared,) * k, objective, structure)
+        distinct = explicit_instance(n, k, [(sets, weights)] * k, objective, structure)
+        assert solve(inst, space) == solve(distinct, space)
+        assert len(calls) == 1
+
+
+def test_a_repeated_provider_under_a_system_is_enumerated_once():
+    calls = []
+    sets = [{1, 2}, {3, 4}, {1, 2, 3}, {4}, set()]
+
+    def enumerate_fn():
+        calls.append(1)
+        return [(frozenset(s), w) for s, w in zip(sets, [3, 1, 4, 1, 5])]
+
+    shared = FamilyProvider("shared", enumerate_fn)
+    system = InfantSystem.build(4, [({1, 2}, 1)], 2)
+    for objective in ("decision", "count", "min-weight"):
+        inst = PartitionInstance(4, 3, (shared,) * 3, objective, "partition")
+        distinct = explicit_instance(4, 3, [(sets, [3, 1, 4, 1, 5])] * 3, objective)
+        for space in ("dense", "polyspace"):
+            calls.clear()
+            got = solve_with_infants(inst, system, space)
+            assert len(calls) == 1
+            assert got == solve_with_infants(distinct, system, space)
+            assert got.stats.infant_p == 1
 
 
 def test_polyspace_peak_memory_is_small_under_a_system(rng):

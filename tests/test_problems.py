@@ -1,9 +1,11 @@
 """End-to-end graph drivers against their brute-force references."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import setpart.problems
 from setpart.engine import FamilyProvider, PartitionInstance, validate_infant_system
 from setpart.graphcore import CorePair, Graph, average_degree, find_scattered_set
 from setpart.oracle import (
@@ -115,6 +117,50 @@ def test_list_coloring_matches_brute(rng):
             for v in g.vertices()
         }
         assert decide_list_coloring(g, k, lists) == brute_list_coloring(g, lists)
+
+
+def test_fanless_colors_with_equal_lists_share_one_provider():
+    g = cycle_graph(5)
+    lists = {v: frozenset({1, 2, 3, 5}) for v in g.vertices()}
+    lists[1] = frozenset({1, 2, 3, 4, 5})
+    preferred = {v: 1 for v in g.vertices()}
+    preferred[2] = 5
+    inst = ColoringInstance(g, 5, lists, preferred)
+    providers = _color_families(inst)
+    # colors 2 and 3: nobody prefers them and every vertex allows them;
+    # color 4 only vertex 1 allows; colors 1 and 5 have fans
+    assert providers[1] is providers[2]
+    assert len({id(p) for p in providers}) == 4
+    for color, provider in enumerate(providers, start=1):
+        allowed = [v for v in g.vertices() if color in lists[v]]
+        fans = [v for v in g.vertices() if preferred[v] == color]
+        want = sorted(
+            (
+                frozenset(s)
+                for r in range(len(allowed) + 1)
+                for s in itertools.combinations(allowed, r)
+                if not any(u in g.adjacency[v] for u in s for v in s)
+                and all(set(s) & g.closed_neighborhood(v) for v in fans)
+            ),
+            key=sorted,
+        )
+        assert [s for s, _w in provider.entries()] == want
+
+
+def test_plain_three_coloring_encodes_its_fanless_colors_once(monkeypatch):
+    solve = setpart.problems.solve_with_infants
+    calls = []
+
+    def recording(inst, system, space):
+        calls.append((inst, solve(inst, system, space)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(setpart.problems, "solve_with_infants", recording)
+    assert k_colorable(petersen_graph(), 3, core=None)
+    [(inst, answer)] = calls
+    assert inst.providers[1] is inst.providers[2]
+    _fans, second, third = answer.stats.term_counts
+    assert second == third > 0
 
 
 # ---------------------------------------------------------------------------
