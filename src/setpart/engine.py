@@ -373,8 +373,13 @@ def _encode_terms(
     seventh (cost) exponent in min-weight mode.  A provider listed more
     than once is enumerated and encoded once, and its map is shared.  On
     the plain system a set's exponents are its size and the OR of its
-    elements' bits, zero on every grid axis.
+    elements' bits, zero on every grid axis.  A system over another
+    ground set raises InfantSystemError.
     """
+    if system.n != inst.n:
+        raise InfantSystemError(
+            f"system ground set {system.n} differs from instance {inst.n}"
+        )
     cost_axis = inst.objective == "min-weight"
     plain = not system.p
     if plain:
@@ -688,7 +693,8 @@ def solve_with_infants(
 
     Raises RowNormalizationError when some enumerated set holds an infant
     with no companion in its row, which signals an invalid system or a
-    wrong guess upstream.
+    wrong guess upstream, and InfantSystemError when the system's ground
+    set is not the instance's.
     """
     if inst.structure != "partition":
         raise ValueError("instance structure must be 'partition'")

@@ -8,6 +8,8 @@ to disjoint cycle covers of a contracted multigraph.  Wherever the graph
 is sparse enough the drivers construct a family system whose designated
 elements prune the encoded search space; every guess loop is exhaustive,
 so wrong guesses only shrink the feasible set and never the answer.
+Every solve goes through ``_solve``: a system under which some set holds
+an infant alone in its row is dropped, and that solve runs plain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .engine import (
     SolveAnswer,
     solve_simple,
     solve_with_infants,
-    validate_infant_system,
+    validate_infant_system,  # noqa: F401  (bound here for bench/tracer.py)
 )
 from .graphcore import (
     CoreInfeasibleError,
@@ -98,9 +100,27 @@ def _note_guess(stats: StatsRecorder | None, kind: str):
         stats.record_guess(kind)
 
 
-def _note_answer(stats: StatsRecorder | None, answer: SolveAnswer):
+def _solve(
+    inst: PartitionInstance,
+    system: InfantSystem | None,
+    space: str,
+    stats: StatsRecorder | None,
+) -> SolveAnswer:
+    """One driver solve under the system (None: plain), recorded in ``stats``.
+
+    The one misfit policy: on ``RowNormalizationError`` the system is
+    dropped and the solve runs plain.  The engine's row check is all the
+    grid encoding needs, so a system that passes it answers exactly.
+    """
+    if system is None:
+        system = InfantSystem.empty(inst.n)
+    try:
+        answer = solve_with_infants(inst, system, space)
+    except RowNormalizationError:
+        answer = solve_simple(inst, space)
     if stats is not None:
         stats.record_answer(answer)
+    return answer
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +212,13 @@ def decide_coloring_with_preferences(
 
     Preference constraints never change the answer: any proper list
     coloring can be recolored, one vertex at a time, until every vertex
-    sees its preferred color in its closed neighborhood.  The system, if
-    given, is checked against the enumerated families first and dropped
-    if it does not fit; a wrong system must never change the answer.
+    sees its preferred color in its closed neighborhood.  A system that
+    does not fit the families is dropped by ``_solve``.
     """
     engine_inst = PartitionInstance(
         inst.graph.n, inst.k, tuple(_color_families(inst)), "decision", "partition"
     )
-    if system is None or system.p == 0:
-        system = InfantSystem.empty(inst.graph.n)
-    elif not validate_infant_system(engine_inst, system).ok:
-        system = InfantSystem.empty(inst.graph.n)
-    # a validated system puts a second row member beside every infant, so
-    # no set holds a lone infant and the solve never raises on row normalization
-    answer = solve_with_infants(engine_inst, system, space)
-    _note_answer(stats, answer)
-    return answer.feasible
+    return _solve(engine_inst, system, space, stats).feasible
 
 
 def decide_list_coloring(
@@ -314,17 +325,30 @@ def build_coloring_infants(
     return PreferenceSetup(inst, system, back, None)
 
 
-def _chromatic_core(g: Graph, k: int) -> CorePair | None:
-    d_eff = max(average_degree(g), Fraction(1))
-    row_width = math.floor(2 * d_eff) + 1
-    q = row_width * (k + 1)
-    mu = ((2.0**q - 1.0) / 2.0**q) ** (1.0 / ((1 << k) * (k + 1)))
+def _core(g: Graph, core: CorePair | str | None, colors: int | None) -> CorePair | None:
+    """``core`` if a CorePair, a searched pair for "auto", else None (solve plain).
+
+    The search asks mu = (1 - 2^-q)^(1/root) with rows of w = floor(2d) + 1
+    (d the average degree, at least 1): q = w(k+1) and root = 2^k (k+1)
+    for k ``colors``, q = w and root = 3 for a tour (``colors`` None).
+    A failed search gives None.
+    """
+    if isinstance(core, CorePair):
+        return core
+    if core != "auto":
+        return None
+    w = math.floor(2 * max(average_degree(g), Fraction(1))) + 1
+    if colors is None:
+        q, root, nu, a, c = w, 3, 1, 1, Fraction(1, 2 * w)
+    else:
+        q = w * (colors + 1)
+        root = (1 << colors) * (colors + 1)
+        nu, a, c = max(colors, 1), 0, Fraction(1, 2 * (w + 1))
+    mu = ((2.0**q - 1.0) / 2.0**q) ** (1.0 / root)
     if not (0.0 < mu < 1.0):
         return None
     try:
-        return find_core_pair(
-            g, nu=max(k, 1), mu=mu, a=0, c=Fraction(1, 2 * (row_width + 1))
-        )
+        return find_core_pair(g, nu=nu, mu=mu, a=a, c=c)
     except (CoreSearchError, CoreInfeasibleError):
         return None
 
@@ -358,18 +382,10 @@ def k_colorable(
         sub, _back = induced_subgraph(g, keep)
         # vertices below degree k always find a vacant color afterwards
         return k_colorable(sub, k, space, stats, core)
-    core_pair: CorePair | None
-    if core == "auto":
-        core_pair = _chromatic_core(g, k)
-    elif isinstance(core, CorePair):
-        core_pair = core
-    else:
-        core_pair = None
+    core_pair = _core(g, core, k)
     if core_pair is None:
         full = frozenset(range(1, k + 1))
-        lists = {v: full for v in g.vertices()}
-        inst = ColoringInstance(g, k, lists, {v: 1 for v in g.vertices()})
-        return decide_coloring_with_preferences(inst, None, space, stats)
+        return decide_list_coloring(g, k, {v: full for v in g.vertices()}, space, stats)
     kernel = sorted(core_pair.Y)
     for assignment in itertools.product(range(1, k + 1), repeat=len(kernel)):
         _note_guess(stats, "kernel-coloring")
@@ -503,9 +519,7 @@ def domatic_decision(
     provider = FamilyProvider.explicit("dominating", sets)
     inst = PartitionInstance(g.n, k, (provider,) * k, "decision", "partition")
     system = _domatic_system(g) if infants else InfantSystem.empty(g.n)
-    answer = solve_with_infants(inst, system, space)
-    _note_answer(stats, answer)
-    return answer.feasible
+    return _solve(inst, system, space, stats).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -577,37 +591,72 @@ def _tour_system(
     core: CorePair | None,
     successors: frozenset[int],
 ) -> InfantSystem:
-    if core is None or min(sizes) < 2:
-        return InfantSystem.empty(g.n)
-    anchors = [
-        a for a in sorted(core.A) if a not in successors and a not in pivots
-    ]
-    if not anchors:
+    """Rows of width q = floor(degree_cap) + 1 around the first n // q
+    scattered vertices that are neither pivots nor successors: the
+    predecessor of such a vertex lies outside the kernel, so in its row.
+    """
+    if core is None or min(sizes) < 2 or core.degree_cap < 1:
         return InfantSystem.empty(g.n)
     q = math.floor(core.degree_cap) + 1
-    if q < 2:
+    anchors = [a for a in sorted(core.A) if a not in successors and a not in pivots]
+    families = [((g.adjacency[a] - core.Y) | {a}, a) for a in anchors[: g.n // q]]
+    if not families:
         return InfantSystem.empty(g.n)
-    families = []
-    for a in anchors:
-        relatives = (g.adjacency[a] - core.Y) | {a}
-        families.append((frozenset(relatives), a))
     return InfantSystem.build(g.n, families, q)
 
 
 def _hamcycle_system(g: Graph, sizes: list[int]) -> InfantSystem:
-    if min(sizes) < 2:
-        return InfantSystem.empty(g.n)
     delta = g.max_degree()
-    if delta < 1:
+    if min(sizes) < 2 or delta < 1:
         return InfantSystem.empty(g.n)
     centers_all = sorted(greedy_independent_set(square(g)))
     p = min(len(centers_all), g.n // (delta * delta + 1))
-    if p < 1 or delta + 1 < 2:
+    if p < 1:
         return InfantSystem.empty(g.n)
-    families = [
-        (g.closed_neighborhood(v), v) for v in centers_all[:p]
-    ]
+    families = [(g.closed_neighborhood(v), v) for v in centers_all[:p]]
     return InfantSystem.build(g.n, families, delta + 1)
+
+
+def _tour_solves(
+    g: Graph, sizes: list[int], objective: str, core: CorePair | None,
+    system: InfantSystem | None, space: str, stats: StatsRecorder | None, kind: str,
+):
+    """One ``_solve`` answer per pivot and successor guess, lazily.
+
+    The first pivot is vertex 1, which any tour visits; the other
+    len(sizes) - 1 run over every ordered choice.  With a core pair, a
+    further guess picks up to |Y| scattered vertices allowed to follow
+    kernel vertices directly.  Every guess solves under ``system``, or
+    under its own ``_tour_system`` when that is None.  A guess with an
+    empty segment family is skipped.
+    """
+    scattered = core.A if core is not None else frozenset()
+    kernel = core.Y if core is not None else frozenset()
+    successor_sets = [
+        frozenset(chosen)
+        for picks in range(len(kernel) + 1)
+        for chosen in itertools.combinations(sorted(scattered), picks)
+    ]
+    weighted = g.weights is not None
+    rest = [v for v in g.vertices() if v != 1]
+    for tail in itertools.permutations(rest, len(sizes) - 1):
+        pivots = (1,) + tail
+        for chosen in successor_sets:
+            _note_guess(stats, kind)
+            families = _path_families(
+                g, pivots, sizes, weighted, kernel, chosen, scattered
+            )
+            if families is None:
+                continue
+            providers = tuple(
+                FamilyProvider.explicit(f"segment-{i + 1}", *zip(*fam))
+                for i, fam in enumerate(families)
+            )
+            inst = PartitionInstance(g.n, len(sizes), providers, objective, "partition")
+            guess_system = system
+            if guess_system is None:
+                guess_system = _tour_system(g, pivots, sizes, core, chosen)
+            yield _solve(inst, guess_system, space, stats)
 
 
 def hamiltonian_cycle(
@@ -623,6 +672,7 @@ def hamiltonian_cycle(
     partitions the vertices into per-segment path families; a segment set
     containing any vertex also contains a path neighbor of it, so the
     closed-neighborhood system around scattered centers is always sound.
+    Stops at the first feasible guess.
     """
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
@@ -630,38 +680,8 @@ def hamiltonian_cycle(
         return False
     sizes = _segment_sizes(g.n, 3)
     system = _hamcycle_system(g, sizes) if infants else InfantSystem.empty(g.n)
-    rest = [v for v in g.vertices() if v != 1]
-    for v1, v2 in itertools.permutations(rest, 2):
-        _note_guess(stats, "pivot-triple")
-        pivots = (1, v1, v2)
-        families = _path_families(g, pivots, sizes, weighted=False)
-        if families is None:
-            continue
-        providers = tuple(
-            FamilyProvider.explicit(f"segment-{i + 1}", [s for s, _w in fam])
-            for i, fam in enumerate(families)
-        )
-        inst = PartitionInstance(g.n, 3, providers, "decision", "partition")
-        try:
-            answer = solve_with_infants(inst, system, space)
-        except RowNormalizationError:
-            answer = solve_simple(inst, space)
-        _note_answer(stats, answer)
-        if answer.feasible:
-            return True
-    return False
-
-
-def _tsp_core(g: Graph) -> CorePair | None:
-    d_eff = max(average_degree(g), Fraction(1))
-    q = math.floor(2 * d_eff) + 1
-    mu = ((2.0**q - 1.0) / 2.0**q) ** (1.0 / 3.0)
-    if not (0.0 < mu < 1.0):
-        return None
-    try:
-        return find_core_pair(g, nu=1, mu=mu, a=1, c=Fraction(1, 2 * q))
-    except (CoreSearchError, CoreInfeasibleError):
-        return None
+    answers = _tour_solves(g, sizes, "decision", None, system, space, stats, "pivot-triple")
+    return any(answer.feasible for answer in answers)
 
 
 def tsp(
@@ -673,67 +693,19 @@ def tsp(
     """Minimum Hamiltonian cycle weight, or None when no tour exists.
 
     Splits the tour at about sqrt(n) pivots into consecutive segments and
-    takes the minimum over every ordered pivot guess (the first pivot is
-    fixed at vertex 1, which any tour visits).  When a kernel/scattered
-    decomposition is active, an extra guess picks which scattered
+    takes the minimum over every ordered pivot guess.  When a kernel/
+    scattered decomposition is active, an extra guess picks which scattered
     vertices directly follow kernel vertices; everyone else's predecessor
     then stays outside the kernel, keeping every family system row
     normalized.  An unweighted graph is treated as unit weights.
     """
     if g.n < 3:
         raise ValueError("need at least 3 vertices")
-    weighted = g.weights is not None
-    k = max(1, round(math.sqrt(g.n)))
-    sizes = _segment_sizes(g.n, k)
-    if core_pair == "auto":
-        core = _tsp_core(g)
-    elif isinstance(core_pair, CorePair):
-        core = core_pair
-    else:
-        core = None
-    scattered = core.A if core is not None else frozenset()
-    kernel = core.Y if core is not None else frozenset()
-    successor_pool = sorted(scattered)
-    best: int | None = None
-    rest = [v for v in g.vertices() if v != 1]
-    for tail in itertools.permutations(rest, k - 1):
-        pivots = (1,) + tail
-        for picks in range(len(kernel) + 1):
-            for successors in itertools.combinations(successor_pool, picks):
-                _note_guess(stats, "pivot-tuple")
-                chosen = frozenset(successors)
-                families = _path_families(
-                    g,
-                    pivots,
-                    sizes,
-                    weighted=weighted,
-                    kernel=kernel,
-                    successors=chosen,
-                    scattered=scattered,
-                )
-                if families is None:
-                    continue
-                providers = tuple(
-                    FamilyProvider.explicit(
-                        f"segment-{i + 1}",
-                        [s for s, _w in fam],
-                        [w for _s, w in fam],
-                    )
-                    for i, fam in enumerate(families)
-                )
-                inst = PartitionInstance(
-                    g.n, k, providers, "min-weight", "partition"
-                )
-                system = _tour_system(g, pivots, sizes, core, chosen)
-                try:
-                    answer = solve_with_infants(inst, system, space)
-                except RowNormalizationError:
-                    continue
-                _note_answer(stats, answer)
-                if answer.min_weight is not None:
-                    if best is None or answer.min_weight < best:
-                        best = answer.min_weight
-    return best
+    sizes = _segment_sizes(g.n, max(1, round(math.sqrt(g.n))))
+    core = _core(g, core_pair, None)
+    answers = _tour_solves(g, sizes, "min-weight", core, None, space, stats, "pivot-tuple")
+    weights = [a.min_weight for a in answers if a.min_weight is not None]
+    return min(weights, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +853,7 @@ def count_perfect_matchings(
         for k in range(1, m // 2 + 1):
             provider = FamilyProvider.explicit("cycles", cycles)
             inst = PartitionInstance(m, k, (provider,) * k, "count", "partition")
-            answer = solve_simple(inst, space)
-            _note_answer(stats, answer)
-            ordered = answer.count or 0
+            ordered = _solve(inst, None, space, stats).count or 0
             branch += ordered // math.factorial(k)
         total += branch
     return total

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import setpart.cli
 from setpart.cli import main
 from conftest import (
     complete_graph,
@@ -237,6 +238,28 @@ def test_misfitting_system_file_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "instance", "--infants", sys_path, inst_path)
     assert code == 1 and out == ""
     assert err.startswith("setpart: provider family-1") and "Traceback" not in err
+
+
+def test_system_over_another_ground_set_exits_one(capsys, tmp_path, monkeypatch):
+    """A system file is read over the instance's n, so its elements past n
+    fail to build; a system over another n that reaches the solve is
+    refused there, with the same exit status."""
+    inst_path = instance_file(
+        tmp_path, {"n": 4, "k": 1, "families": [[{"set": [1, 2, 3, 4]}]]}
+    )
+    sys_path = instance_file(
+        tmp_path,
+        {"q": 2, "families": [{"set": [5, 6], "infant": 5}]},
+        name="system.json",
+    )
+    code, out, err = run_cli(capsys, "solve", "instance", "--infants", sys_path, inst_path)
+    assert code == 1 and out == ""
+    assert err.startswith("setpart: family 0: member outside 1..4")
+    real = setpart.cli.system_from_json
+    monkeypatch.setattr(setpart.cli, "system_from_json", lambda data, n: real(data, n + 2))
+    code, out, err = run_cli(capsys, "solve", "instance", "--infants", sys_path, inst_path)
+    assert code == 1 and out == ""
+    assert err == "setpart: system ground set 6 differs from instance 4\n"
 
 
 @pytest.mark.parametrize(

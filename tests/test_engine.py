@@ -345,6 +345,19 @@ def test_lone_infant_aborts_the_solve():
     assert err.value.row == 0
 
 
+@pytest.mark.parametrize("system_n", [6, 3])
+@pytest.mark.parametrize("space", ["dense", "polyspace"])
+def test_a_system_over_another_ground_set_is_refused(system_n, space):
+    """A larger ground set used to count 0, a smaller one to fail on an element."""
+    inst = plain(4, 1, [{1, 2, 3, 4}], objective="count")
+    assert solve_simple(inst, space).count == 1
+    with pytest.raises(InfantSystemError, match=f"ground set {system_n} differs from instance 4"):
+        solve_with_infants(inst, InfantSystem.empty(system_n), space)
+    built = InfantSystem.build(system_n, [({1, 2}, 1)], 2)
+    with pytest.raises(InfantSystemError, match=f"ground set {system_n} differs"):
+        solve_with_infants(inst, built, space)
+
+
 # ---------------------------------------------------------------------------
 # plain solves
 

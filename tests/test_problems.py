@@ -1,12 +1,18 @@
 """End-to-end graph drivers against their brute-force references."""
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
 import setpart.problems
-from setpart.engine import FamilyProvider, PartitionInstance, validate_infant_system
+from setpart.engine import (
+    FamilyProvider,
+    InfantSystem,
+    PartitionInstance,
+    validate_infant_system,
+)
 from setpart.graphcore import CorePair, Graph, average_degree, find_scattered_set
 from setpart.oracle import (
     brute_chromatic,
@@ -22,6 +28,7 @@ from setpart.problems import (
     _color_families,
     _domatic_system,
     _segment_sizes,
+    _tour_system,
     build_coloring_infants,
     chromatic_number,
     count_perfect_matchings,
@@ -51,10 +58,10 @@ def unit_weighted(g: Graph) -> Graph:
     return Graph.build(g.n, sorted(g.edges), {e: 1 for e in g.edges})
 
 
-def hand_core(g: Graph, scattered, degree_cap) -> CorePair:
+def hand_core(g: Graph, scattered, degree_cap, kernel=()) -> CorePair:
     return CorePair(
         A=frozenset(scattered),
-        Y=frozenset(),
+        Y=frozenset(kernel),
         D=1,
         nu=1.0,
         mu=0.5,
@@ -64,6 +71,26 @@ def hand_core(g: Graph, scattered, degree_cap) -> CorePair:
         beta=0.0,
         degree_cap=Fraction(degree_cap),
     )
+
+
+@dataclass
+class AnswerLog(StatsRecorder):
+    """A recorder that also keeps every answer it is given."""
+
+    answers: list = field(default_factory=list)
+
+    def record_answer(self, answer):
+        super().record_answer(answer)
+        self.answers.append(answer)
+
+
+def hub_graph(rim: int, closed: bool) -> Graph:
+    """Hub 1 joined to every vertex of a path 2..rim+1, closed into a
+    cycle when asked, with weights 1..11 varying by edge."""
+    edges = [(v, v + 1) for v in range(2, rim + 1)] + [(1, v) for v in range(2, rim + 2)]
+    if closed:
+        edges.append((2, rim + 1))
+    return Graph.build(rim + 1, edges, {e: (3 * e[0] + 5 * e[1]) % 11 + 1 for e in edges})
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +259,24 @@ def test_kernel_conflicts_are_dead_guesses():
     assert setup.instance.lists == {1: frozenset({1})}
 
 
+def test_coloring_drops_a_misfitting_system():
+    """Color 2 may take {1} alone, holding infant 1 without its relative 3:
+    the solve drops the system and runs plain."""
+    for g in (path_graph(4), complete_graph(3)):
+        lists = {v: frozenset({1, 2}) for v in g.vertices()}
+        inst = ColoringInstance(g, 2, lists, {v: 1 for v in g.vertices()})
+        system = InfantSystem.build(g.n, [({1, 3}, 1)], 2)
+        engine_inst = PartitionInstance(
+            g.n, 2, tuple(_color_families(inst)), "decision", "partition"
+        )
+        assert not validate_infant_system(engine_inst, system).ok
+        log = AnswerLog()
+        got = decide_coloring_with_preferences(inst, system, stats=log)
+        assert got == brute_list_coloring(g, lists)
+        assert [a.stats.infant_p for a in log.answers] == [0]
+        assert log.systems_used == 0
+
+
 # ---------------------------------------------------------------------------
 # chromatic number
 
@@ -397,6 +442,25 @@ def test_hamcycle_stats_track_guesses():
     assert stats.solves > 0
 
 
+def test_hamcycle_drops_a_misfitting_system(monkeypatch, rng):
+    """Segment 1 starts at infant 1 and need not hold vertex 2, its only
+    relative: those guesses solve plain and the answer stands."""
+    monkeypatch.setattr(
+        setpart.problems,
+        "_hamcycle_system",
+        lambda g, sizes: InfantSystem.build(g.n, [({1, 2}, 1)], 2),
+    )
+    graphs = [cycle_graph(6), complete_graph(5), petersen_graph()]
+    graphs += [er_graph(rng.randint(5, 7), 0.6, rng) for _ in range(6)]
+    for space in ("dense", "polyspace"):
+        log = AnswerLog()
+        for g in graphs:
+            if all(g.degree(v) >= 2 for v in g.vertices()):
+                assert hamiltonian_cycle(g, space, log) == brute_hamcycle(g)
+        plain = [a for a in log.answers if a.stats.infant_p == 0]
+        assert 0 < len(plain) < log.solves
+
+
 # ---------------------------------------------------------------------------
 # travelling salesman
 
@@ -460,6 +524,38 @@ def test_tsp_polyspace_on_wide_weights(rng):
     stats = StatsRecorder()
     assert tsp(g, space="polyspace", stats=stats) == brute_tsp(g) is not None
     assert stats.engines.get("polyspace", 0) > 0
+
+
+def test_tsp_under_a_hub_kernel_core():
+    """Hub 1 is the kernel and rim vertices 2 and 5 the scattered set: every
+    ordered pivot pair is guessed with no successor, with 2, and with 5,
+    and guesses that keep an anchor off the pivots solve under its row."""
+    g = hub_graph(8, closed=True)
+    core = hand_core(g, {2, 5}, 2, kernel={1})
+    assert core.verify(g) == []
+    expect = brute_tsp(g)
+    assert expect is not None and tsp(g, core_pair=None) == expect
+    for space in ("dense", "polyspace"):
+        stats = StatsRecorder()
+        assert tsp(g, space, stats, core_pair=core) == expect
+        assert stats.guesses == {"pivot-tuple": 8 * 7 * 3}
+        assert stats.systems_used > 0
+
+
+def test_tour_system_keeps_the_anchors_that_fit():
+    """Three anchors with rows of 3 would need 9 cells of an 8-vertex
+    graph; the system keeps the first two, and tsp answers."""
+    g = hub_graph(7, closed=False)
+    core = hand_core(g, {2, 5, 8}, 2, kernel={1})
+    assert core.verify(g) == []
+    sizes = _segment_sizes(g.n, 3)
+    system = _tour_system(g, (1, 3, 6), sizes, core, frozenset())
+    assert [infant for _r, infant in system.families] == [2, 5]
+    assert system.p * system.q <= g.n
+    for space in ("dense", "polyspace"):
+        stats = StatsRecorder()
+        assert tsp(g, space, stats, core_pair=core) == brute_tsp(g) is not None
+        assert stats.systems_used > 0
 
 
 # ---------------------------------------------------------------------------
