@@ -7,9 +7,9 @@ object holding the answer and the statistics together.
 
 Exit status: 0 when the problem was solved (including "no tour exists"),
 1 on parse or configuration errors (a family system that does not fit
-the instance, or a product no transform primes cover, included), 2 when
-the input falls outside the problem's definition (odd vertex count for
-matchings, fewer than three vertices for tours).
+the instance included), 2 when the input falls outside the problem's
+definition (odd vertex count for matchings, fewer than three vertices
+for tours).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .oracle import (
     brute_partition,
     brute_tsp,
 )
-from .polyring import TransformUnavailableError
 from .problems import (
     StatsRecorder,
     chromatic_number,
@@ -253,7 +252,6 @@ def main(argv=None) -> int:
         EncodingError,
         InfantSystemError,
         RowNormalizationError,
-        TransformUnavailableError,
     ) as exc:
         print(f"setpart: {exc}", file=sys.stderr)
         return 1

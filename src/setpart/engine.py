@@ -9,8 +9,11 @@ coefficient of the product of k family polynomials.
 A family system ((R_1, r_1), ..., (R_p, r_p)) refines the encoding: the
 designated elements r_i never appear alone in a candidate set without a
 relative from R_i, which lets four grid invariants over the placement of
-:mod:`setpart.encoding` replace the full subset axis over those elements
-and shrinks the packed domain from 2^n toward 2^(n-pq) * (2^q-1)^p * 2^q.
+:mod:`setpart.encoding` replace the full subset axis over those elements.
+What that saves differs by mode: the polyspace sweep shrinks from 2^n to
+2^(n-pq) subsets, while the keys the dense fold reaches shrink far less
+(domatic k=3 on a seed-5 random cubic 14: 82,315 to 70,181, summed over
+the fold's levels).
 
 Each solve makes one encoding pass: every distinct provider is
 enumerated once and its sets go straight to a term map (exponent tuple

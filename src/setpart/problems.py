@@ -3,11 +3,12 @@
 Each driver reduces its problem to one or more (V,k,F)-partition solves:
 coloring partitions vertices into independent sets satisfying list and
 preference constraints, domatic partitions into dominating sets, tours
-partition into pivot-anchored path segments, and matching counts reduce
-to disjoint cycle covers of a contracted multigraph.  Wherever the graph
-is sparse enough the drivers construct a family system whose designated
-elements prune the encoded search space; every guess loop is exhaustive,
-so wrong guesses only shrink the feasible set and never the answer.
+partition into pivot-anchored path segments, and matching counts
+partition the pairs of a contracted multigraph into cycles and
+self-loops.  Wherever the graph is sparse enough the drivers construct a
+family system whose designated elements prune the encoded search space;
+every guess loop is exhaustive, so wrong guesses only shrink the
+feasible set and never the answer.
 Every solve goes through ``_solve``: a system under which some set holds
 an infant alone in its row is dropped, and that solve runs plain.
 """
@@ -344,7 +345,7 @@ def _core(g: Graph, core: CorePair | str | None, colors: int | None) -> CorePair
         q = w * (colors + 1)
         root = (1 << colors) * (colors + 1)
         nu, a, c = max(colors, 1), 0, Fraction(1, 2 * (w + 1))
-    mu = ((2.0**q - 1.0) / 2.0**q) ** (1.0 / root)
+    mu = (1.0 - 2.0**-q) ** (1.0 / root)
     if not (0.0 < mu < 1.0):
         return None
     try:
@@ -712,7 +713,7 @@ def tsp(
 # counting perfect matchings
 
 
-def _pair_multigraph(g: Graph) -> tuple[LabeledMultigraph, list[tuple[int, int]]]:
+def _pair_multigraph(g: Graph) -> LabeledMultigraph:
     """Contract non-adjacent vertex pairs into a labeled multigraph.
 
     Pairs come from a maximum matching of the complement, topped up with
@@ -741,7 +742,7 @@ def _pair_multigraph(g: Graph) -> tuple[LabeledMultigraph, list[tuple[int, int]]
         lo, hi = min(tu, tv), max(tu, tv)
         records.append((lo, hi, frozenset({nu, nv})))
     records.sort(key=lambda r: (r[0], r[1], sorted(r[2])))
-    return LabeledMultigraph(half, tuple(records)), pairs
+    return LabeledMultigraph(half, tuple(records))
 
 
 def _side(label: frozenset[int], t: int, half: int) -> int:
@@ -753,9 +754,7 @@ def _side(label: frozenset[int], t: int, half: int) -> int:
     raise ValueError(f"label {sorted(label)} misses pair {t}")
 
 
-def _label_consistent_cycles(
-    lm: LabeledMultigraph, alive: list[int]
-) -> list[frozenset[int]]:
+def _label_consistent_cycles(lm: LabeledMultigraph) -> list[frozenset[int]]:
     """Vertex sets of canonical cycles, one entry per distinct cycle.
 
     A cycle is consistent when the two edges at each pair use opposite
@@ -764,17 +763,12 @@ def _label_consistent_cycles(
     orientation kept by comparing the first and last step keys.
     """
     half = lm.n
-    alive_set = set(alive)
-    index = {t: i + 1 for i, t in enumerate(alive)}
-    edges = []
-    for u, v, label in lm.edges:
-        if u == v or u not in alive_set or v not in alive_set:
-            continue
-        su = _side(label, u, half)
-        sv = _side(label, v, half)
-        edges.append((index[u], index[v], su, sv))
-    m = len(index)
-    incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, m + 1)}
+    edges = [
+        (u, v, _side(label, u, half), _side(label, v, half))
+        for u, v, label in lm.edges
+        if u != v
+    ]
+    incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, half + 1)}
     for u, v, su, sv in edges:
         incident[u].append((v, su, sv))
         incident[v].append((u, sv, su))
@@ -814,7 +808,7 @@ def _label_consistent_cycles(
                         continue
                     stack.append((nxt, 1 - side_there, path + [nxt]))
 
-    for start in range(1, m + 1):
+    for start in range(1, half + 1):
         walk(start)
     return out
 
@@ -826,34 +820,25 @@ def count_perfect_matchings(
 ) -> int:
     """Exact number of perfect matchings.
 
-    Matchings correspond to cycle covers of the contracted pair graph
-    whose edge labels tile all original vertices: each pair needs its two
-    sides covered exactly once, by a self-loop or by two cycle edges.
-    Loops split into include/exclude branches; per branch, covers by
-    exactly k disjoint canonical cycles are counted as ordered tuples
-    through the engine and divided by k!.
+    Matchings correspond to covers of the contracted pair graph whose
+    edge labels tile all original vertices: each pair needs its two sides
+    covered exactly once, by its self-loop or by two edges of one
+    canonical label-consistent cycle.  So a matching is one partition of
+    the pairs into blocks, each a cycle's pairs or a self-loop's single
+    pair, and one count solve reads them all: part t holds the empty set
+    and the blocks whose least pair is t, which orders the parts of each
+    partition one way only.
     """
     if g.n % 2 != 0:
         raise ValueError("even vertex count required")
     if g.n == 0:
         return 1
-    lm, _pairs = _pair_multigraph(g)
-    loop_pairs = sorted({u for u, v, _l in lm.edges if u == v})
-    total = 0
-    for pick in range(1 << len(loop_pairs)):
-        _note_guess(stats, "loop-branch")
-        removed = {loop_pairs[i] for i in range(len(loop_pairs)) if pick >> i & 1}
-        alive = [t for t in range(1, lm.n + 1) if t not in removed]
-        if not alive:
-            total += 1
-            continue
-        cycles = _label_consistent_cycles(lm, alive)
-        m = len(alive)
-        branch = 0
-        for k in range(1, m // 2 + 1):
-            provider = FamilyProvider.explicit("cycles", cycles)
-            inst = PartitionInstance(m, k, (provider,) * k, "count", "partition")
-            ordered = _solve(inst, None, space, stats).count or 0
-            branch += ordered // math.factorial(k)
-        total += branch
-    return total
+    lm = _pair_multigraph(g)
+    blocks = _label_consistent_cycles(lm)
+    blocks += [frozenset({u}) for u, v, _l in lm.edges if u == v]
+    parts: dict[int, list[frozenset[int]]] = {t: [frozenset()] for t in range(1, lm.n + 1)}
+    for block in blocks:
+        parts[min(block)].append(block)
+    providers = tuple(FamilyProvider.explicit(f"least-{t}", parts[t]) for t in parts)
+    inst = PartitionInstance(lm.n, lm.n, providers, "count")
+    return _solve(inst, None, space, stats).count or 0

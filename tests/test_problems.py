@@ -297,6 +297,13 @@ def test_k_colorable_shortcuts():
     assert not k_colorable(path_graph(2), 1)
 
 
+def test_k_colorable_past_the_float_range_solves_plain():
+    # q = w(k+1) = 343 * 3 passes 1024, where 2.0**q overflows a float
+    g = complete_graph(172)
+    assert setpart.problems._core(g, "auto", 2) is None
+    assert not k_colorable(g, 2)
+
+
 def test_chromatic_matches_brute(rng):
     for _ in range(30):
         g = er_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
@@ -597,6 +604,29 @@ def test_matchings_relabel_invariant(rng):
         rng.shuffle(targets)
         perm = dict(zip(range(1, n + 1), targets))
         assert count_perfect_matchings(relabel_graph(g, perm)) == count_perfect_matchings(g)
+
+
+def test_matchings_mix_self_loop_pairs_and_cycles(rng):
+    mixed = 0
+    for _ in range(12):
+        n = rng.choice([10, 12])
+        g = er_graph(n, rng.choice([0.9, 0.95, 1.0]), rng)
+        lm = setpart.problems._pair_multigraph(g)
+        loops = any(u == v for u, v, _label in lm.edges)
+        mixed += loops and bool(setpart.problems._label_consistent_cycles(lm))
+        expect = brute_count_pm(g)
+        assert count_perfect_matchings(g) == expect
+        if n <= 10:
+            assert count_perfect_matchings(g, space="polyspace") == expect
+    assert mixed >= 6
+
+
+def test_matchings_make_one_solve_and_no_guess():
+    for g in (cycle_graph(6), complete_graph(8), edgeless_graph(2)):
+        stats = StatsRecorder()
+        count_perfect_matchings(g, stats=stats)
+        assert stats.solves == 1
+        assert stats.guesses == {}
 
 
 # ---------------------------------------------------------------------------
