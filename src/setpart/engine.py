@@ -122,7 +122,6 @@ class FamilyProvider:
 
     label: str
     enumerate_fn: Callable[[], Iterable[tuple[frozenset[int], int]]]
-    membership: Callable[[frozenset[int]], bool] | None = None
 
     def entries(self) -> list[tuple[frozenset[int], int]]:
         out = []

@@ -24,7 +24,6 @@ __all__ = [
     "CoreSearchError",
     "Graph",
     "GraphFormatError",
-    "LabeledMultigraph",
     "average_degree",
     "complement_matching",
     "find_core_pair",
@@ -128,30 +127,6 @@ class Graph:
         if self.weights is None:
             raise ValueError("graph carries no weights")
         return self.weights[_norm_edge(u, v)]
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledMultigraph:
-    """Multigraph on pair indices 1..n whose edges carry 2-element labels.
-
-    Parallel edges (at most four per vertex pair) and self-loops are both
-    meaningful here: a loop at ``t`` records that the two halves of pair
-    ``t`` are themselves joined in the underlying graph.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int, frozenset[int]], ...]
-
-    def __post_init__(self):
-        seen: dict[tuple[int, int], int] = {}
-        for u, v, label in self.edges:
-            if not (1 <= u <= v <= self.n):
-                raise ValueError(f"bad endpoint pair ({u}, {v})")
-            if len(label) != 2:
-                raise ValueError(f"label {sorted(label)} must have two distinct elements")
-            seen[(u, v)] = seen.get((u, v), 0) + 1
-            if u != v and seen[(u, v)] > 4:
-                raise ValueError(f"more than four parallel edges between {u} and {v}")
 
 
 # ---------------------------------------------------------------------------

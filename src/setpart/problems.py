@@ -4,11 +4,11 @@ Each driver reduces its problem to one or more (V,k,F)-partition solves:
 coloring partitions vertices into independent sets satisfying list and
 preference constraints, domatic partitions into dominating sets, tours
 partition into pivot-anchored path segments, and matching counts
-partition the pairs of a contracted multigraph into cycles and
-self-loops.  Wherever the graph is sparse enough the drivers construct a
-family system whose designated elements prune the encoded search space;
-every guess loop is exhaustive, so wrong guesses only shrink the
-feasible set and never the answer.
+partition the contracted vertex pairs into side-alternating cycles and
+self-loop pairs.  Wherever the graph is sparse enough the drivers
+construct a family system whose designated elements prune the encoded
+search space; every guess loop is exhaustive, so wrong guesses only
+shrink the feasible set and never the answer.
 Every solve goes through ``_solve``: a system under which some set holds
 an infant alone in its row is dropped, and that solve runs plain.
 """
@@ -35,7 +35,6 @@ from .graphcore import (
     CorePair,
     CoreSearchError,
     Graph,
-    LabeledMultigraph,
     average_degree,
     complement_matching,
     find_core_pair,
@@ -713,14 +712,14 @@ def tsp(
 # counting perfect matchings
 
 
-def _pair_multigraph(g: Graph) -> LabeledMultigraph:
-    """Contract non-adjacent vertex pairs into a labeled multigraph.
+def _pair_multigraph(g: Graph) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Contract non-adjacent vertex pairs; return the pair count and edges.
 
     Pairs come from a maximum matching of the complement, topped up with
-    leftover vertices paired consecutively (adjacent leftovers become
-    self-loops).  Pair t keeps sides t and t+n'; every original edge
-    turns into an edge between its endpoints' pairs labeled with the two
-    side ids it consumes.
+    leftover vertices paired consecutively, then sorted; a pair's smaller
+    vertex is its side 0.  Every original edge becomes ``(t, s, u, r)``
+    with t <= u: side s of pair t joins side r of pair u.  An edge with
+    t == u joins a pair's two sides, making it a self-loop pair.
     """
     matched = complement_matching(g)
     used = {v for pair in matched for v in pair}
@@ -729,87 +728,55 @@ def _pair_multigraph(g: Graph) -> LabeledMultigraph:
     for i in range(0, len(leftovers), 2):
         pairs.append((leftovers[i], leftovers[i + 1]))
     pairs.sort()
-    half = len(pairs)
-    rename: dict[int, int] = {}
-    for t, (a, b) in enumerate(pairs, start=1):
-        rename[a] = t
-        rename[b] = t + half
-    records = []
-    for u, v in sorted(g.edges):
-        nu, nv = rename[u], rename[v]
-        tu = nu if nu <= half else nu - half
-        tv = nv if nv <= half else nv - half
-        lo, hi = min(tu, tv), max(tu, tv)
-        records.append((lo, hi, frozenset({nu, nv})))
-    records.sort(key=lambda r: (r[0], r[1], sorted(r[2])))
-    return LabeledMultigraph(half, tuple(records))
+    where: dict[int, tuple[int, int]] = {}
+    for t, pair in enumerate(pairs, start=1):
+        for side, v in enumerate(pair):
+            where[v] = (t, side)
+    edges = []
+    for u, v in g.edges:
+        a, b = sorted((where[u], where[v]))
+        edges.append(a + b)
+    return len(pairs), sorted(edges)
 
 
-def _side(label: frozenset[int], t: int, half: int) -> int:
-    """0 when the label uses pair t's low side, 1 for the high side."""
-    if t in label:
-        return 0
-    if t + half in label:
-        return 1
-    raise ValueError(f"label {sorted(label)} misses pair {t}")
-
-
-def _label_consistent_cycles(lm: LabeledMultigraph) -> list[frozenset[int]]:
-    """Vertex sets of canonical cycles, one entry per distinct cycle.
+def _label_consistent_cycles(
+    m: int, edges: list[tuple[int, int, int, int]]
+) -> list[frozenset[int]]:
+    """Pair sets of canonical cycles, one entry per distinct cycle.
 
     A cycle is consistent when the two edges at each pair use opposite
-    sides.  2-cycles are unordered pairs of parallel edges disagreeing at
-    both ends; longer cycles are walked from their smallest vertex, one
-    orientation kept by comparing the first and last step keys.
+    sides.  Cycles, 2-cycles of parallel edges included, are walked from
+    their smallest pair, one orientation kept by comparing the first and
+    last step keys.
     """
-    half = lm.n
-    edges = [
-        (u, v, _side(label, u, half), _side(label, v, half))
-        for u, v, label in lm.edges
-        if u != v
-    ]
-    incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, half + 1)}
-    for u, v, su, sv in edges:
-        incident[u].append((v, su, sv))
-        incident[v].append((u, sv, su))
+    incident: dict[int, list[tuple[int, int, int]]] = {t: [] for t in range(1, m + 1)}
+    for t, s, u, r in edges:
+        if t != u:
+            incident[t].append((u, s, r))
+            incident[u].append((t, r, s))
+    for steps in incident.values():
+        steps.sort()
     out: list[frozenset[int]] = []
-
-    parallel: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v, su, sv in edges:
-        parallel.setdefault((min(u, v), max(u, v)), []).append(
-            (su, sv) if u < v else (sv, su)
-        )
-    for (u, v), kinds in sorted(parallel.items()):
-        for (a1, b1), (a2, b2) in itertools.combinations(sorted(kinds), 2):
-            if a1 != a2 and b1 != b2:
-                out.append(frozenset({u, v}))
-
-    def walk(start: int):
-        for first_to, first_here, first_there in sorted(incident[start]):
+    for start in range(1, m + 1):
+        for first_key in incident[start]:
+            first_to, first_here, first_there = first_key
             if first_to <= start:
                 continue
-            first_key = (first_to, first_here, first_there)
             stack = [(first_to, 1 - first_there, [start, first_to])]
             while stack:
                 cur, need, path = stack.pop()
-                for nxt, side_here, side_there in sorted(incident[cur], reverse=True):
+                for nxt, side_here, side_there in reversed(incident[cur]):
                     if side_here != need:
                         continue
                     if nxt == start:
-                        if len(path) < 3:
-                            continue
                         # wrong-side closings and the mirror orientation drop out
-                        if side_there != 1 - first_here:
-                            continue
-                        if first_key < (path[-1], side_there, side_here):
+                        last_key = (path[-1], side_there, side_here)
+                        if side_there == 1 - first_here and first_key < last_key:
                             out.append(frozenset(path))
                         continue
                     if nxt < start or nxt in path:
                         continue
                     stack.append((nxt, 1 - side_there, path + [nxt]))
-
-    for start in range(1, half + 1):
-        walk(start)
     return out
 
 
@@ -820,25 +787,24 @@ def count_perfect_matchings(
 ) -> int:
     """Exact number of perfect matchings.
 
-    Matchings correspond to covers of the contracted pair graph whose
-    edge labels tile all original vertices: each pair needs its two sides
-    covered exactly once, by its self-loop or by two edges of one
-    canonical label-consistent cycle.  So a matching is one partition of
-    the pairs into blocks, each a cycle's pairs or a self-loop's single
-    pair, and one count solve reads them all: part t holds the empty set
-    and the blocks whose least pair is t, which orders the parts of each
-    partition one way only.
+    A matching covers each contracted pair's two sides exactly once:
+    either by the edge joining them (a self-loop pair) or by the two
+    edges of one canonical cycle that enter the pair on opposite sides.
+    So a matching is one partition of the pairs into blocks, each a
+    cycle's pairs or a self-loop pair alone, and one count solve reads
+    them all: part t holds the empty set and the blocks whose least pair
+    is t, which orders the parts of each partition one way only.
     """
     if g.n % 2 != 0:
         raise ValueError("even vertex count required")
     if g.n == 0:
         return 1
-    lm = _pair_multigraph(g)
-    blocks = _label_consistent_cycles(lm)
-    blocks += [frozenset({u}) for u, v, _l in lm.edges if u == v]
-    parts: dict[int, list[frozenset[int]]] = {t: [frozenset()] for t in range(1, lm.n + 1)}
+    m, edges = _pair_multigraph(g)
+    blocks = _label_consistent_cycles(m, edges)
+    blocks += [frozenset({t}) for t, _s, u, _r in edges if t == u]
+    parts: dict[int, list[frozenset[int]]] = {t: [frozenset()] for t in range(1, m + 1)}
     for block in blocks:
         parts[min(block)].append(block)
     providers = tuple(FamilyProvider.explicit(f"least-{t}", parts[t]) for t in parts)
-    inst = PartitionInstance(lm.n, lm.n, providers, "count")
+    inst = PartitionInstance(m, m, providers, "count")
     return _solve(inst, None, space, stats).count or 0

@@ -359,6 +359,12 @@ def test_out_of_definition_inputs_exit_two(capsys, write_graph):
     assert run_cli(capsys, "solve", "domatic", "--k", "2", big)[0] == 2
 
 
+def test_matchings_past_the_complement_matching_limit_exit_two(capsys, write_graph):
+    code, out, err = run_cli(capsys, "count", "matchings", write_graph(cycle_graph(32)))
+    assert code == 2 and out == ""
+    assert "complement matching limited to 30 vertices" in err
+
+
 def test_tsp_core_override_flags(capsys, write_graph):
     path = write_graph(cycle_graph(6, ), "c6.txt")
     code, out, _ = run_cli(

@@ -9,7 +9,6 @@ from setpart.graphcore import (
     CorePair,
     Graph,
     GraphFormatError,
-    LabeledMultigraph,
     average_degree,
     complement_matching,
     find_core_pair,
@@ -78,19 +77,6 @@ def test_edge_weight_lookup_is_symmetric():
     assert g.edge_weight(2, 1) == 7
     with pytest.raises(ValueError, match="no weights"):
         path_graph(2).edge_weight(1, 2)
-
-
-def test_labeled_multigraph_limits():
-    lm = LabeledMultigraph(2, ((1, 1, frozenset({1, 3})),))
-    assert lm.n == 2
-    four = tuple((1, 2, frozenset({i, 10 + i})) for i in range(4))
-    LabeledMultigraph(2, four)
-    with pytest.raises(ValueError, match="more than four"):
-        LabeledMultigraph(2, four + ((1, 2, frozenset({9, 19})),))
-    with pytest.raises(ValueError, match="two distinct"):
-        LabeledMultigraph(2, ((1, 2, frozenset({5})),))
-    with pytest.raises(ValueError, match="bad endpoint"):
-        LabeledMultigraph(2, ((2, 1, frozenset({1, 2})),))
 
 
 # ---------------------------------------------------------------------------

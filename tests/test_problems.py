@@ -611,9 +611,9 @@ def test_matchings_mix_self_loop_pairs_and_cycles(rng):
     for _ in range(12):
         n = rng.choice([10, 12])
         g = er_graph(n, rng.choice([0.9, 0.95, 1.0]), rng)
-        lm = setpart.problems._pair_multigraph(g)
-        loops = any(u == v for u, v, _label in lm.edges)
-        mixed += loops and bool(setpart.problems._label_consistent_cycles(lm))
+        m, edges = setpart.problems._pair_multigraph(g)
+        loops = any(t == u for t, _s, u, _r in edges)
+        mixed += loops and bool(setpart.problems._label_consistent_cycles(m, edges))
         expect = brute_count_pm(g)
         assert count_perfect_matchings(g) == expect
         if n <= 10:
@@ -627,6 +627,34 @@ def test_matchings_make_one_solve_and_no_guess():
         count_perfect_matchings(g, stats=stats)
         assert stats.solves == 1
         assert stats.guesses == {}
+
+
+def test_matchings_on_every_graph_of_four_vertices():
+    slots = list(itertools.combinations(range(1, 5), 2))
+    for mask in range(1 << len(slots)):
+        g = Graph.build(4, [e for i, e in enumerate(slots) if mask >> i & 1])
+        expect = brute_count_pm(g)
+        assert count_perfect_matchings(g) == expect
+        assert count_perfect_matchings(g, space="polyspace") == expect
+
+
+def test_matchings_on_dense_random_graphs(rng):
+    for _ in range(200):
+        n = rng.choice([6, 8, 10, 12])
+        g = er_graph(n, rng.choice([0.5, 0.7, 0.9, 1.0]), rng)
+        expect = brute_count_pm(g)
+        assert count_perfect_matchings(g) == expect
+        if n <= 10:
+            assert count_perfect_matchings(g, space="polyspace") == expect
+
+
+def test_side_alternating_cycles_of_c4_and_c6():
+    # C4's pairs {1,3} and {2,4} close two 2-cycles, one per matching
+    m, edges = setpart.problems._pair_multigraph(cycle_graph(4))
+    assert setpart.problems._label_consistent_cycles(m, edges) == [frozenset({1, 2})] * 2
+    m, edges = setpart.problems._pair_multigraph(cycle_graph(6))
+    cycles = setpart.problems._label_consistent_cycles(m, edges)
+    assert sorted(sorted(c) for c in cycles) == [[1, 2, 3], [1, 2, 3], [1, 3]]
 
 
 # ---------------------------------------------------------------------------
