@@ -9,8 +9,8 @@ Exit status: 0 when the problem was solved (including "no tour exists"),
 1 on parse or configuration errors (a family system that does not fit
 the instance included), 2 when the input falls outside the problem's
 definition (odd vertex count for matchings, fewer than three vertices
-for tours) or past a driver's scan limit (matchings on more than 30
-vertices, domatic on more than 20).
+for tours) or past a driver's scan limit (domatic on more than 20
+vertices).
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .graphcore import (
     CoreSearchError,
     Graph,
     average_degree,
-    complement_matching,
+    complement_matching,  # noqa: F401  (bound here for bench/tracer.py)
     find_core_pair,
     greedy_independent_set,
     induced_subgraph,
@@ -331,13 +331,18 @@ def _core(g: Graph, core: CorePair | str | None, colors: int | None) -> CorePair
     The search asks mu = (1 - 2^-q)^(1/root) with rows of w = floor(2d) + 1
     (d the average degree, at least 1): q = w(k+1) and root = 2^k (k+1)
     for k ``colors``, q = w and root = 3 for a tour (``colors`` None).
-    A failed search gives None.
+    A failed search gives None, and so does n < 12d without a search:
+    ``find_core_pair`` seats at most n / (12 d D) scattered vertices with
+    D >= 1, so A would be empty there and the pair solves as plain.
     """
     if isinstance(core, CorePair):
         return core
     if core != "auto":
         return None
-    w = math.floor(2 * max(average_degree(g), Fraction(1))) + 1
+    d = max(average_degree(g), Fraction(1))
+    if g.n < 12 * d:
+        return None
+    w = math.floor(2 * d) + 1
     if colors is None:
         q, root, nu, a, c = w, 3, 1, 1, Fraction(1, 2 * w)
     else:
@@ -403,9 +408,12 @@ def chromatic_number(
     stats: StatsRecorder | None = None,
     core: CorePair | str | None = "auto",
 ) -> int:
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
+    """Least k with a proper k-coloring, trying k upward from a greedy clique's size."""
+    clique: list[int] = []
+    for v in sorted(g.vertices(), key=lambda v: (-g.degree(v), v)):
+        if all(u in g.adjacency[v] for u in clique):
+            clique.append(v)
+    for k in range(len(clique), g.n + 1):
         if k_colorable(g, k, space, stats, core):
             return k
     return g.n
@@ -713,30 +721,18 @@ def tsp(
 
 
 def _pair_multigraph(g: Graph) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Contract non-adjacent vertex pairs; return the pair count and edges.
+    """Contract vertices 2t-1 and 2t into pair t; return the pair count and edges.
 
-    Pairs come from a maximum matching of the complement, topped up with
-    leftover vertices paired consecutively, then sorted; a pair's smaller
-    vertex is its side 0.  Every original edge becomes ``(t, s, u, r)``
-    with t <= u: side s of pair t joins side r of pair u.  An edge with
-    t == u joins a pair's two sides, making it a self-loop pair.
+    Vertex 2t-1 is pair t's side 0 and vertex 2t its side 1.  Every
+    original edge u < v becomes ``(t, s, u', r)`` with t <= u': side s of
+    pair t joins side r of pair u'.  An edge with t == u' joins a pair's
+    two sides, making it a self-loop pair.  The count is exact for any
+    pairing, so the fixed one (Björklund, SODA 2012) needs no search.
     """
-    matched = complement_matching(g)
-    used = {v for pair in matched for v in pair}
-    leftovers = sorted(v for v in g.vertices() if v not in used)
-    pairs = [tuple(sorted(pair)) for pair in matched]
-    for i in range(0, len(leftovers), 2):
-        pairs.append((leftovers[i], leftovers[i + 1]))
-    pairs.sort()
-    where: dict[int, tuple[int, int]] = {}
-    for t, pair in enumerate(pairs, start=1):
-        for side, v in enumerate(pair):
-            where[v] = (t, side)
-    edges = []
-    for u, v in g.edges:
-        a, b = sorted((where[u], where[v]))
-        edges.append(a + b)
-    return len(pairs), sorted(edges)
+    edges = [
+        ((u + 1) // 2, (u + 1) % 2, (v + 1) // 2, (v + 1) % 2) for u, v in g.edges
+    ]
+    return g.n // 2, sorted(edges)
 
 
 def _label_consistent_cycles(
@@ -785,8 +781,9 @@ def count_perfect_matchings(
     space: str = "dense",
     stats: StatsRecorder | None = None,
 ) -> int:
-    """Exact number of perfect matchings.
+    """Exact number of perfect matchings, at any even vertex count.
 
+    Pair t contracts vertices 2t-1 and 2t, so no pairing is searched.
     A matching covers each contracted pair's two sides exactly once:
     either by the edge joining them (a self-loop pair) or by the two
     edges of one canonical cycle that enter the pair on opposite sides.

@@ -304,6 +304,27 @@ def test_k_colorable_past_the_float_range_solves_plain():
     assert not k_colorable(g, 2)
 
 
+def test_chromatic_number_starts_at_a_greedy_clique():
+    stats = StatsRecorder()
+    assert chromatic_number(complete_graph(172), stats=stats) == 172
+    assert stats.solves == 0
+
+
+def test_core_search_skipped_below_twelve_times_the_degree(monkeypatch, rng):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("core search ran")
+
+    monkeypatch.setattr(setpart.problems, "find_core_pair", refuse)
+    cubic = random_regular(10, 3, rng)
+    assert k_colorable(cubic, 3) == (brute_chromatic(cubic) <= 3)
+    assert tsp(cubic) == brute_tsp(cubic)
+    with pytest.raises(AssertionError, match="core search ran"):
+        setpart.problems._core(cycle_graph(30), "auto", None)
+    # past n >= 12d, q = w(k+1) = 21 * 3 rounds mu up to 1.0: no search either
+    ring = [(v, (v + j - 1) % 130 + 1) for v in range(1, 131) for j in range(1, 6)]
+    assert setpart.problems._core(Graph.build(130, ring), "auto", 2) is None
+
+
 def test_chromatic_matches_brute(rng):
     for _ in range(30):
         g = er_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
@@ -649,12 +670,50 @@ def test_matchings_on_dense_random_graphs(rng):
 
 
 def test_side_alternating_cycles_of_c4_and_c6():
-    # C4's pairs {1,3} and {2,4} close two 2-cycles, one per matching
-    m, edges = setpart.problems._pair_multigraph(cycle_graph(4))
-    assert setpart.problems._label_consistent_cycles(m, edges) == [frozenset({1, 2})] * 2
-    m, edges = setpart.problems._pair_multigraph(cycle_graph(6))
-    cycles = setpart.problems._label_consistent_cycles(m, edges)
+    # C4 under the pairs {1,3} and {2,4} closes two 2-cycles, one per matching
+    c4 = [(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 0), (1, 1, 2, 1)]
+    assert setpart.problems._label_consistent_cycles(2, c4) == [frozenset({1, 2})] * 2
+    c6 = [(1, 0, 2, 0), (1, 0, 3, 1), (1, 1, 2, 0), (1, 1, 3, 0), (2, 1, 3, 0), (2, 1, 3, 1)]
+    cycles = setpart.problems._label_consistent_cycles(3, c6)
     assert sorted(sorted(c) for c in cycles) == [[1, 2, 3], [1, 2, 3], [1, 3]]
+
+
+def test_pairs_are_consecutive_vertices():
+    # C4 pairs {1,2} and {3,4}: both are self-loop pairs, and 2-3, 4-1 close one cycle
+    m, edges = setpart.problems._pair_multigraph(cycle_graph(4))
+    assert (m, edges) == (2, [(1, 0, 1, 1), (1, 0, 2, 1), (1, 1, 2, 0), (2, 0, 2, 1)])
+    assert sum(t == u for t, _s, u, _r in edges) == 2
+    assert setpart.problems._label_consistent_cycles(m, edges) == [frozenset({1, 2})]
+
+
+def ladder(rungs: int, label) -> Graph:
+    """The 2 x rungs ladder; label(row, col) numbers its vertices 1..2*rungs."""
+    edges = [(label(0, c), label(1, c)) for c in range(rungs)]
+    edges += [(label(r, c), label(r, c + 1)) for r in (0, 1) for c in range(rungs - 1)]
+    return Graph.build(2 * rungs, edges)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    def at(r: int, c: int) -> int:
+        return r * cols + c + 1
+
+    edges = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph.build(rows * cols, edges)
+
+
+def test_matchings_past_thirty_vertices(rng):
+    shuffled = list(range(1, 33))
+    rng.shuffle(shuffled)
+    labelings = (
+        lambda r, c: 2 * c + r + 1,  # every rung is a contracted pair
+        lambda r, c: 16 * r + c + 1,  # pairs run along the rails
+        lambda r, c: shuffled[16 * r + c],
+    )
+    for label in labelings:
+        assert count_perfect_matchings(ladder(16, label)) == 1597  # Fibonacci F17
+    assert count_perfect_matchings(grid(4, 6)) == 281
+    assert count_perfect_matchings(cycle_graph(32)) == 2
 
 
 # ---------------------------------------------------------------------------
